@@ -361,6 +361,11 @@ func BenchmarkAblationPathRank(b *testing.B) {
 // Micro-benchmarks for the underlying graph machinery on a city-scale
 // graph, so substrate regressions are visible independently of the
 // attack-level numbers.
+//
+// BenchmarkDijkstraCity runs its queries on a router with no snapshot
+// attached, so every query freezes the graph before searching it: the
+// per-call cost a caller pays by not attaching a snapshot. The kernel
+// alone, on the same queries, is BenchmarkDijkstraCSR.
 func BenchmarkDijkstraCity(b *testing.B) {
 	net := benchNetwork(b, citygen.Chicago)
 	w := net.Weight(roadnet.WeightTime)
@@ -402,10 +407,9 @@ func BenchmarkYenK200City(b *testing.B) {
 	}
 }
 
-// BenchmarkDijkstraCSR is BenchmarkDijkstraCity with a frozen CSR snapshot
-// attached to the router: the live-vs-frozen pair for the point-to-point
-// kernel. Results are bit-identical (see csr_differential_test.go); only
-// the memory layout differs.
+// BenchmarkDijkstraCSR is BenchmarkDijkstraCity with the network's
+// snapshot attached to the router: the point-to-point kernel alone, with
+// no per-query Freeze.
 func BenchmarkDijkstraCSR(b *testing.B) {
 	net := benchNetwork(b, citygen.Chicago)
 	w := net.Weight(roadnet.WeightTime)
@@ -421,9 +425,10 @@ func BenchmarkDijkstraCSR(b *testing.B) {
 	}
 }
 
-// BenchmarkYenK200CSR is BenchmarkYenK200City on a frozen snapshot: every
-// spur query runs the flat-array kernel with the router's per-query edge
-// bans overlaid on the shared immutable arrays.
+// BenchmarkYenK200CSR is BenchmarkYenK200City on the network's attached
+// snapshot, so no query pays a Freeze: every spur query runs the
+// flat-array kernel with the router's per-query edge bans overlaid on the
+// shared immutable arrays.
 func BenchmarkYenK200CSR(b *testing.B) {
 	net := benchNetwork(b, citygen.Chicago)
 	w := net.Weight(roadnet.WeightTime)
@@ -437,13 +442,13 @@ func BenchmarkYenK200CSR(b *testing.B) {
 	}
 }
 
-// BenchmarkBetweennessParallel compares the serial Brandes sweep with the
-// snapshot-parallel one on the BenchmarkEdgeBetweennessSampled workload
-// (same sampled sources; scores are bitwise identical across worker counts).
+// BenchmarkBetweennessParallel compares one Brandes worker with the
+// default fan-out on the BenchmarkEdgeBetweennessSampled workload, both on
+// the network's snapshot (same sampled sources; scores are bitwise
+// identical across worker counts).
 func BenchmarkBetweennessParallel(b *testing.B) {
 	net := benchNetwork(b, citygen.SanFrancisco)
 	g := net.Graph()
-	w := net.Weight(roadnet.WeightTime)
 	opts := graph.BetweennessOptions{Normalize: true}
 	step := g.NumNodes() / 60
 	if step < 1 {
@@ -452,22 +457,20 @@ func BenchmarkBetweennessParallel(b *testing.B) {
 	for s := 0; s < g.NumNodes() && len(opts.Sources) < 60; s += step {
 		opts.Sources = append(opts.Sources, graph.NodeID(s))
 	}
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			graph.EdgeBetweenness(g, w, opts)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		snap := net.Snapshot(roadnet.WeightTime)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := graph.BetweennessParallel(context.Background(), snap, opts, 0); err != nil {
-				b.Fatal(err)
+	snap := net.Snapshot(roadnet.WeightTime)
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"parallel", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := graph.BetweennessParallel(context.Background(), snap, opts, bc.workers); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkTableParallel compares the serial and parallel table runners on
@@ -566,11 +569,13 @@ func BenchmarkEdgeBetweennessSampled(b *testing.B) {
 }
 
 // BenchmarkDijkstraBidirectionalCity measures the bidirectional variant on
-// the same workload as BenchmarkDijkstraCity (the speedup ablation).
+// the same queries and attached snapshot as BenchmarkDijkstraCSR (the
+// speedup ablation).
 func BenchmarkDijkstraBidirectionalCity(b *testing.B) {
 	net := benchNetwork(b, citygen.Chicago)
 	w := net.Weight(roadnet.WeightTime)
 	r := altroute.NewRouter(net.Graph())
+	r.UseSnapshot(net.Snapshot(roadnet.WeightTime))
 	n := net.NumIntersections()
 	b.ReportAllocs()
 	b.ResetTimer()

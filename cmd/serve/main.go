@@ -105,7 +105,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		osmFile   = fs.String("osm", "", "serve this OSM XML extract instead of synthetic cities")
 		cacheMB   = fs.Int64("cache-mb", 64, "result + path-set cache budget in MiB (0 disables caching)")
 		capacity  = fs.Int("capacity", 0, "admission budget in cost units (0 = 4*GOMAXPROCS)")
-		useOv     = fs.Bool("overlay", false, "preload a CRP partition-overlay metric per shard weight type (corridor-pruned oracle searches, identical results)")
 		maxQueue  = fs.Int("queue", 32, "max queued requests before 503 + Retry-After")
 		maxUnits  = fs.Int("max-units", 0, "per-request cost-unit budget; larger requests are shed (0 = capacity)")
 		unitWork  = fs.Float64("unit-work", 2e6, "estimated edge relaxations per admission unit")
@@ -172,10 +171,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		shard, err := registry.NewShardWithOptions(ctx, name, net2, registry.ShardOptions{
-			PoolSize: *capacity,
-			Overlay:  *useOv,
-		})
+		shard, err := registry.NewShardWithOptions(ctx, name, net2, registry.ShardOptions{PoolSize: *capacity})
 		if err != nil {
 			return err
 		}

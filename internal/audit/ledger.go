@@ -87,6 +87,13 @@ type Config struct {
 	// (PointAuditWrite, PointAuditFsync, PointAuditFull,
 	// PointAuditRotate, PointAuditCompact) for chaos tests.
 	Injector *faultinject.Injector
+
+	// kickSeam is a test seam (nil in production). When set, the flusher
+	// calls it on its own goroutine between draining a kick and acting on
+	// it, and the Append that sent the kick is held until the flusher has
+	// acted on it — so a test can land appends in exactly the window a
+	// scheduler would only sometimes open.
+	kickSeam func()
 }
 
 func (c *Config) fill() {
@@ -241,6 +248,7 @@ type Ledger struct {
 	// append hot path never waits on the disk, even mid group commit.
 	syncMu  sync.Mutex
 	kick    chan struct{}
+	kicked  chan struct{} // kickSeam only: signalled once a kick is acted on
 	stop    chan struct{}
 	flusher sync.WaitGroup
 }
@@ -354,6 +362,9 @@ func Open(cfg Config) (*Ledger, error) { //lint:allow ctxflow replay is linear i
 		kick:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
+	if cfg.kickSeam != nil {
+		l.kicked = make(chan struct{})
+	}
 	if !cfg.SyncEachRecord {
 		l.flusher.Add(1)
 		go l.flushLoop()
@@ -361,26 +372,39 @@ func Open(cfg Config) (*Ledger, error) { //lint:allow ctxflow replay is linear i
 	return l, nil
 }
 
-// flushLoop is the durability supervisor: every FlushEvery (or kick) it
-// seals whatever is pending — bounding the crash-loss window in time the
-// same way FlushRecords bounds it in count — runs every fsync the append
-// path deferred, compacts when rotation has built up enough sealed
-// segments, and anchors the latest seal to the witness. Errors are
-// sticky in l.failed; the loop keeps draining so a poisoned ledger still
-// reports through Err rather than wedging.
+// flushLoop is the durability supervisor. Every FlushEvery tick it seals
+// whatever is pending — bounding the crash-loss window in time the same
+// way FlushRecords bounds it in count. A kick from Append means the
+// append path already sealed a full batch inline; it only wakes the loop
+// for that batch's fsync and must not seal again, because records that
+// arrived since would then close a partial batch at a boundary set by
+// goroutine scheduling. After either wake-up the loop runs every fsync
+// the append path deferred, compacts when rotation has built up enough
+// sealed segments, and anchors the latest seal to the witness; those
+// three only react to seals that already happened, so they never move a
+// batch boundary. Errors are sticky in l.failed; the loop keeps draining
+// so a poisoned ledger still reports through Err rather than wedging.
 func (l *Ledger) flushLoop() {
 	defer l.flusher.Done()
 	t := time.NewTicker(l.cfg.FlushEvery)
 	defer t.Stop()
 	for {
+		tick, kicked := false, false
 		select {
 		case <-l.stop:
 			return
 		case <-t.C:
+			tick = true
 		case <-l.kick:
+			kicked = true
+			if l.cfg.kickSeam != nil {
+				l.cfg.kickSeam()
+			}
 		}
 		l.mu.Lock()
-		_ = l.sealLocked()
+		if tick {
+			_ = l.sealLocked()
+		}
 		wantCompact := l.cfg.CompactKeep > 0 && len(l.segs) > l.cfg.CompactKeep && l.failed == nil
 		l.mu.Unlock()
 		_ = l.syncDirty()
@@ -388,6 +412,12 @@ func (l *Ledger) flushLoop() {
 			_ = l.compactOnce(l.cfg.CompactKeep)
 		}
 		l.maybeAnchor(false)
+		if kicked && l.kicked != nil {
+			select {
+			case l.kicked <- struct{}{}:
+			case <-l.stop:
+			}
+		}
 	}
 }
 
@@ -412,6 +442,12 @@ func (l *Ledger) Append(rec Record) (Receipt, error) {
 		} else {
 			select {
 			case l.kick <- struct{}{}:
+				if l.kicked != nil { // kickSeam: hold until the flusher acted on it
+					select {
+					case <-l.kicked:
+					case <-l.stop:
+					}
+				}
 			default: // a wake-up is already queued
 			}
 		}

@@ -264,6 +264,39 @@ func TestLedgerTimedFlushSeals(t *testing.T) {
 	}
 }
 
+// TestLedgerKickNeverSealsPartialBatch pins the group-commit boundary
+// rule: the kick an inline seal sends the flusher only schedules that
+// batch's fsync. The seam lands two appends between the flusher draining
+// the kick and acting on it — the window in which a kick that sealed
+// would close a two-record batch — and batches must still fall every
+// FlushRecords records.
+func TestLedgerKickNeverSealsPartialBatch(t *testing.T) {
+	var l *Ledger
+	seamRuns := 0
+	l = openTest(t, t.TempDir(), func(c *Config) {
+		c.FlushRecords = 4
+		c.kickSeam = func() {
+			seamRuns++
+			if seamRuns > 1 {
+				return
+			}
+			for i := 4; i < 6; i++ {
+				if _, err := l.Append(testRecord(i)); err != nil {
+					t.Errorf("Append %d inside the kick window: %v", i, err)
+				}
+			}
+		}
+	})
+	defer l.Close()
+	appendN(t, l, 0, 4) // seals batch 0 inline, kicks, and runs the seam
+	appendN(t, l, 6, 8) // completes batch 1 only if the kick did not seal
+	st := l.Stats()
+	if st.SealedBatches != 2 || st.SealedRecords != 8 || st.Pending != 0 {
+		t.Fatalf("after 8 appends at FlushRecords=4: %d batches, %d sealed, %d pending; want 2, 8, 0 (a kick sealed a partial batch)",
+			st.SealedBatches, st.SealedRecords, st.Pending)
+	}
+}
+
 // TestLedgerDetectsFlippedByteAnywhere flips one byte at every position
 // of every sealed line and asserts Open refuses the directory with
 // ErrChainBroken each time — the acceptance property that an interior

@@ -91,7 +91,7 @@ type Problem struct {
 	// the same network repeatedly (the experiment harness, the server's
 	// pooled networks) pass their cached snapshot here; when nil (or frozen
 	// from a different graph) the algorithms freeze one per run. Either
-	// way results are bit-identical to the live kernels.
+	// way the results are the same.
 	Snapshot *graph.Snapshot
 	// Potential optionally carries a cached reverse potential for Dest
 	// under Weight (graph.ReversePotential), computed on a graph state
@@ -119,8 +119,15 @@ type Problem struct {
 // snapshot for the oracle loops. The thousands of shortest-path queries an
 // attack issues amortize the one O(V+E) freeze many times over.
 func (p *Problem) router(ctx context.Context) *graph.Router {
-	r := graph.NewRouter(p.G)
+	r := p.snapshotRouter()
 	r.SetContext(ctx)
+	return r
+}
+
+// snapshotRouter returns a Router on p.Snapshot, or on a fresh freeze of G
+// under Weight when the problem carries none (or one from another graph).
+func (p *Problem) snapshotRouter() *graph.Router {
+	r := graph.NewRouter(p.G)
 	snap := p.Snapshot
 	if snap == nil || snap.Graph() != p.G {
 		snap = graph.Freeze(p.G, p.Weight)
@@ -209,9 +216,11 @@ func (p *Problem) violating(r *graph.Router, pot *graph.Potential) (graph.Path, 
 
 // IsExclusiveShortest reports whether p* is currently the strictly shortest
 // s->d path under the problem's weight (the attack's success condition).
+// A nil r means a router on the problem's snapshot (frozen here when the
+// problem carries none).
 func (p *Problem) IsExclusiveShortest(r *graph.Router) bool {
 	if r == nil {
-		r = graph.NewRouter(p.G)
+		r = p.snapshotRouter()
 	}
 	_, violated := p.violating(r, nil)
 	return !violated

@@ -21,6 +21,7 @@ func BuildViaPath(g *graph.Graph, s, d graph.NodeID, via graph.EdgeID, w graph.W
 	}
 	arc := g.Arc(via)
 	r := graph.NewRouter(g)
+	r.UseSnapshot(graph.Freeze(g, w)) // shared by the prefix and suffix searches
 
 	prefix, ok := r.ShortestPath(s, arc.From, w)
 	if !ok {

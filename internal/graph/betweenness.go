@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"context"
-	"math"
-)
+import "context"
 
 // BetweennessOptions configures EdgeBetweenness.
 type BetweennessOptions struct {
@@ -37,98 +34,9 @@ func EdgeBetweenness(g *Graph, w WeightFunc, opts BetweennessOptions) []float64 
 // scores computed so far are returned alongside the context's error.
 // Partial scores are NOT rescaled — they cover an unpredictable source
 // prefix — so callers must treat them as diagnostic only when err != nil.
+// It is BetweennessParallel with one worker on Freeze(g, w).
 func EdgeBetweennessCtx(ctx context.Context, g *Graph, w WeightFunc, opts BetweennessOptions) ([]float64, error) {
-	n := g.NumNodes()
-	m := g.NumEdges()
-	score := make([]float64, m)
-	if n == 0 || m == 0 {
-		return score, nil
-	}
-
-	sources := opts.Sources
-	if sources == nil {
-		sources = make([]NodeID, n)
-		for i := range sources {
-			sources[i] = NodeID(i)
-		}
-	}
-
-	// Per-source scratch, reused across sources.
-	dist := make([]float64, n)
-	sigma := make([]float64, n)
-	delta := make([]float64, n)
-	preds := make([][]EdgeID, n)
-	order := make([]NodeID, 0, n)
-	var h nodeHeap
-	settled := make([]bool, n)
-
-	for _, s := range sources {
-		if err := ctx.Err(); err != nil {
-			return score, err
-		}
-		for i := 0; i < n; i++ {
-			dist[i] = math.Inf(1)
-			sigma[i] = 0
-			delta[i] = 0
-			preds[i] = preds[i][:0]
-			settled[i] = false
-		}
-		order = order[:0]
-		h = h[:0]
-
-		dist[s] = 0
-		sigma[s] = 1
-		h.push(heapItem{dist: 0, node: s})
-
-		for len(h) > 0 {
-			it := h.pop()
-			u := it.node
-			if settled[u] {
-				continue
-			}
-			settled[u] = true
-			order = append(order, u)
-			for _, e := range g.out[u] {
-				if g.disabled[e] {
-					continue
-				}
-				v := g.arcs[e].To
-				nd := dist[u] + w(e)
-				switch {
-				case nd < dist[v]:
-					dist[v] = nd
-					sigma[v] = sigma[u]
-					preds[v] = append(preds[v][:0], e)
-					h.push(heapItem{dist: nd, node: v})
-				case nd == dist[v] && !settled[v]: //lint:allow floateq Brandes counts a path only on an exact distance tie; fixed relaxation order keeps it reproducible
-					sigma[v] += sigma[u]
-					preds[v] = append(preds[v], e)
-				}
-			}
-		}
-
-		// Dependency accumulation in reverse settle order.
-		for i := len(order) - 1; i >= 0; i-- {
-			v := order[i]
-			for _, e := range preds[v] {
-				u := g.arcs[e].From
-				c := sigma[u] / sigma[v] * (1 + delta[v])
-				score[e] += c
-				delta[u] += c
-			}
-		}
-	}
-
-	if opts.Normalize && n > 1 {
-		// When sampling, scale the sample up to the full source population
-		// before normalizing so sampled and exact runs are comparable.
-		scale := float64(n) / float64(len(sources))
-		norm := scale / (float64(n) * float64(n-1))
-		for i := range score {
-			score[i] *= norm
-		}
-	}
-	return score, nil
+	return BetweennessParallel(ctx, Freeze(g, w), opts, 1)
 }
 
 // TopEdgesByScore returns the indices of the k highest-scoring enabled

@@ -14,11 +14,11 @@ import (
 // would make the output depend on the worker count and the scheduler.
 //
 // Instead, each worker returns its source tree's score updates as an
-// ordered contribution list — exactly the (edge, credit) sequence the
-// serial dependency pass would apply — and the coordinator replays the
+// ordered contribution list — exactly the (edge, credit) sequence a
+// serial Brandes sweep would apply — and the coordinator replays the
 // lists strictly in source index order. Every float lands on the score
-// array in the same order as in EdgeBetweennessCtx, so the result is
-// bitwise identical to the serial implementation for ANY worker count.
+// array in the same order as in the one-worker run (EdgeBetweennessCtx),
+// so the result is bitwise identical for ANY worker count.
 // A bounded claim window keeps the in-flight buffers (and their memory)
 // proportional to the worker count even when one source tree is slow.
 
@@ -52,12 +52,11 @@ func newBrandesScratch(n int) *brandesScratch {
 }
 
 // brandesSource runs one Brandes source tree on the frozen snapshot and
-// returns the score contributions in exactly the order the serial
-// dependency pass applies them. The float operations mirror
-// EdgeBetweennessCtx line by line: same relaxation order (edge insertion
-// order per node), same heap order (heapLess), same tie test, same
-// credit formula — so replaying the returned list reproduces the serial
-// accumulation bit for bit.
+// returns the score contributions in exactly the order a serial
+// dependency pass applies them: relaxation in edge insertion order per
+// node, heapLess pop order, an exact tie test, the textbook credit
+// formula — so replaying the returned lists in source order reproduces
+// the serial accumulation bit for bit.
 func brandesSource(c *Snapshot, s NodeID, sc *brandesScratch) []brandesContrib {
 	n := c.n
 	for i := 0; i < n; i++ {
@@ -98,7 +97,8 @@ func brandesSource(c *Snapshot, s NodeID, sc *brandesScratch) []brandesContrib {
 				sc.preds[v] = append(sc.preds[v][:0], e)
 				sc.h.push(heapItem{dist: nd, node: v})
 			// Exact-tie test on purpose: Brandes counts a path only on an
-			// exact distance tie, mirroring EdgeBetweennessCtx bit for bit.
+			// exact distance tie; the fixed relaxation order keeps it
+			// reproducible.
 			case nd == sc.dist[v] && !sc.settled[v]:
 				sc.sigma[v] += sc.sigma[u]
 				sc.preds[v] = append(sc.preds[v], e)
@@ -125,17 +125,16 @@ func brandesSource(c *Snapshot, s NodeID, sc *brandesScratch) []brandesContrib {
 	return out
 }
 
-// BetweennessParallel computes the same scores as EdgeBetweennessCtx —
-// bitwise identical, for any worker count — on a frozen snapshot, with
-// source trees fanned out across workers and their contributions merged
-// strictly in source index order (see the package comment above for why
-// that ordering is the whole trick). workers <= 0 means GOMAXPROCS. A
-// stale snapshot is refreshed first.
+// BetweennessParallel computes Brandes edge betweenness (see
+// EdgeBetweenness) on a frozen snapshot — bitwise identical for any
+// worker count — with source trees fanned out across workers and their
+// contributions merged strictly in source index order (see the comment
+// at the top of this file for why that ordering is the whole trick).
+// workers <= 0 means GOMAXPROCS. A stale snapshot is refreshed first.
 //
-// Cancellation matches the serial contract: the context is polled per
-// source tree, and on cancellation the scores accumulated for the merged
-// source prefix are returned, unnormalized, alongside the context error —
-// diagnostic only.
+// Cancellation: the context is polled per source tree, and on
+// cancellation the scores accumulated for the merged source prefix are
+// returned, unnormalized, alongside the context error — diagnostic only.
 func BetweennessParallel(ctx context.Context, snap *Snapshot, opts BetweennessOptions, workers int) ([]float64, error) {
 	snap = snap.Refresh()
 	n, m := snap.n, snap.m
@@ -248,7 +247,7 @@ func BetweennessParallel(ctx context.Context, snap *Snapshot, opts BetweennessOp
 	return score, nil
 }
 
-// normalizeBetweenness applies the EdgeBetweennessCtx normalization: the
+// normalizeBetweenness applies the EdgeBetweenness normalization: the
 // sample is scaled up to the full source population, then divided by the
 // number of ordered node pairs.
 func normalizeBetweenness(score []float64, n, nSources int, opts BetweennessOptions) {

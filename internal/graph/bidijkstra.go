@@ -14,20 +14,17 @@ func (r *Router) ShortestPathBidirectional(s, t NodeID, w WeightFunc) (Path, boo
 	r.grow()
 	r.growBackward()
 	r.clearBans()
-	if c := r.csr(); c != nil {
-		return r.bidirectionalCSR(c, s, t)
-	}
 	if !r.g.validNode(s) || !r.g.validNode(t) {
 		return Path{}, false
 	}
 	if s == t {
 		return Path{Nodes: []NodeID{s}}, true
 	}
-
+	c := r.csr(w)
 	r.cur++
 	r.curB++
-	fh := r.heap[:0]
-	bh := r.heapB[:0]
+	fh := r.h4[:0]
+	bh := r.h4B[:0]
 
 	r.setDist(s, 0, InvalidEdge)
 	fh.push(heapItem{dist: 0, node: s})
@@ -36,10 +33,9 @@ func (r *Router) ShortestPathBidirectional(s, t NodeID, w WeightFunc) (Path, boo
 
 	best := math.Inf(1)
 	var meet NodeID = InvalidNode
-	settledF := make(map[NodeID]struct{})
-	settledB := make(map[NodeID]struct{})
+	disabled := c.disabled
 
-	topOf := func(h nodeHeap) float64 {
+	topOf := func(h heap4) float64 {
 		if len(h) == 0 {
 			return math.Inf(1)
 		}
@@ -64,22 +60,23 @@ func (r *Router) ShortestPathBidirectional(s, t NodeID, w WeightFunc) (Path, boo
 			if it.dist > r.dist[u] || r.stamp[u] != r.cur {
 				continue
 			}
-			if _, done := settledF[u]; done {
+			if r.settledF[u] == r.cur {
 				continue
 			}
-			settledF[u] = struct{}{}
+			r.settledF[u] = r.cur
 			if r.stampB[u] == r.curB {
 				if d := it.dist + r.distB[u]; d < best {
 					best = d
 					meet = u
 				}
 			}
-			for _, e := range r.g.out[u] {
-				if r.g.disabled[e] {
+			for i, end := c.fwdOff[u], c.fwdOff[u+1]; i < end; i++ {
+				e := EdgeID(c.fwdEdge[i])
+				if disabled[e] {
 					continue
 				}
-				v := r.g.arcs[e].To
-				nd := it.dist + w(e)
+				v := NodeID(c.fwdTo[i])
+				nd := it.dist + c.fwdW[i]
 				if r.stamp[v] != r.cur || nd < r.dist[v] {
 					r.setDist(v, nd, e)
 					fh.push(heapItem{dist: nd, node: v})
@@ -97,22 +94,23 @@ func (r *Router) ShortestPathBidirectional(s, t NodeID, w WeightFunc) (Path, boo
 			if it.dist > r.distB[u] || r.stampB[u] != r.curB {
 				continue
 			}
-			if _, done := settledB[u]; done {
+			if r.settledB[u] == r.curB {
 				continue
 			}
-			settledB[u] = struct{}{}
+			r.settledB[u] = r.curB
 			if r.stamp[u] == r.cur {
 				if d := it.dist + r.dist[u]; d < best {
 					best = d
 					meet = u
 				}
 			}
-			for _, e := range r.g.in[u] {
-				if r.g.disabled[e] {
+			for i, end := c.revOff[u], c.revOff[u+1]; i < end; i++ {
+				e := EdgeID(c.revEdge[i])
+				if disabled[e] {
 					continue
 				}
-				v := r.g.arcs[e].From
-				nd := it.dist + w(e)
+				v := NodeID(c.revFrom[i])
+				nd := it.dist + c.revW[i]
 				if r.stampB[v] != r.curB || nd < r.distB[v] {
 					r.setDistB(v, nd, e)
 					bh.push(heapItem{dist: nd, node: v})
@@ -126,8 +124,8 @@ func (r *Router) ShortestPathBidirectional(s, t NodeID, w WeightFunc) (Path, boo
 			}
 		}
 	}
-	r.heap = fh
-	r.heapB = bh
+	r.h4 = fh
+	r.h4B = bh
 
 	if cancelled || meet == InvalidNode {
 		return Path{}, false

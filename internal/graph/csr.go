@@ -1,20 +1,15 @@
 package graph
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
-// This file is the frozen-snapshot query layer: an immutable CSR
-// (compressed sparse row) image of the graph with materialized edge
-// weights, plus ports of every hot search kernel onto it. The live
-// representation (slice-of-slices adjacency + WeightFunc closure) costs
-// two dependent loads and a dynamic call per edge relaxation; the frozen
-// layout replaces them with four sequential array reads. Outputs are
-// bit-identical to the live kernels — same relaxation order (per-node
-// edge insertion order), same float operations in the same order, and a
-// totally-ordered heap so pop order cannot depend on heap shape (see
-// heapLess).
+// This file is the frozen-snapshot layer every search kernel runs on: a
+// CSR (compressed sparse row) image of the graph with materialized edge
+// weights. The graph's own slice-of-slices adjacency
+// plus a WeightFunc closure would cost two dependent loads and a dynamic
+// call per edge relaxation; the frozen layout replaces them with four
+// sequential array reads. Every Router query and the Brandes sweep run on
+// a Snapshot; no kernel walks the Graph's adjacency lists directly.
+// A router with no snapshot attached freezes one per call (see csr).
 //
 // Lifecycle: Freeze captures topology and weights at one instant, stamped
 // with the graph's generation counter. Adding nodes or edges bumps the
@@ -23,13 +18,16 @@ import (
 // enabling edges does NOT invalidate anything: the snapshot aliases the
 // graph's disabled flags, so attack rounds toggling edges — and Yen spur
 // bans, which live in per-router epoch-stamped overlay arrays — work
-// against a frozen snapshot with zero rebuilds.
+// against a frozen snapshot with zero rebuilds. Weights are fixed at
+// Freeze, except that the snapshot's single owner may re-read the weight
+// function for chosen edges with Reweight (traffic assignment does, after
+// loading each path).
 
-// Snapshot is an immutable flat CSR image of a Graph under one weight
-// function. It is safe for any number of concurrent readers (the parallel
-// Yen spur workers and Brandes workers share one), as long as no edges are
+// Snapshot is a flat CSR image of a Graph under one weight function. It
+// is safe for any number of concurrent readers (the parallel Yen spur
+// workers and Brandes workers share one), as long as no edges are
 // concurrently disabled or enabled — the same contract concurrent readers
-// of the live Graph already have.
+// of the Graph itself have — and nobody calls Reweight meanwhile.
 type Snapshot struct {
 	g   *Graph
 	gen uint64
@@ -39,8 +37,8 @@ type Snapshot struct {
 	m int // edges at freeze time
 
 	// Forward adjacency: slots fwdOff[u]..fwdOff[u+1] hold u's out-edges
-	// in edge insertion order (the live relaxation order), with the head
-	// node, edge ID, and weight materialized per slot.
+	// in edge insertion order (the relaxation order every kernel uses),
+	// with the head node, edge ID, and weight materialized per slot.
 	fwdOff  []int32
 	fwdTo   []int32
 	fwdEdge []int32
@@ -57,10 +55,15 @@ type Snapshot struct {
 	w []float64
 
 	// disabled aliases the graph's disabled flags at freeze time, so
-	// DisableEdge/EnableEdge are visible to frozen kernels immediately.
+	// DisableEdge/EnableEdge are visible to the kernels immediately.
 	// AddEdge may reallocate the underlying array, but it also bumps the
 	// generation, which invalidates this snapshot first.
 	disabled []bool
+
+	// fwdSlot and revSlot map each edge to its forward and reverse slot.
+	// Only Reweight needs them, so its first call builds them.
+	fwdSlot []int32
+	revSlot []int32
 
 	// freezeNS is the wall-clock duration of the Freeze pass, surfaced in
 	// registry shard stats next to overlay build/customize timings.
@@ -69,11 +72,9 @@ type Snapshot struct {
 
 // fillCSRSide flattens one direction's adjacency lists into CSR arrays.
 // Freeze calls it twice (forward over out-lists with arc heads, reverse
-// over in-lists with arc tails); it is the single copy of the build loop
-// both Snapshot.Refresh and the registry shard preload previously
-// duplicated through Freeze's twin inline loops. Slot order within a node
-// is list order — the live kernels' relaxation order — which is what
-// keeps frozen outputs bit-identical.
+// over in-lists with arc tails). Slot order within a node is list order,
+// i.e. edge insertion order, which fixes every kernel's relaxation order
+// and with it the tie-breaking between equal-length paths.
 func fillCSRSide(lists [][]EdgeID, w []float64, off, node, edge []int32, slotW []float64, endpoint func(Arc) NodeID, arcs []Arc) {
 	pos := 0
 	for u := range lists {
@@ -94,7 +95,8 @@ func fillCSRSide(lists [][]EdgeID, w []float64, off, node, edge []int32, slotW [
 // total over all edge IDs (disabled edges included) and must keep
 // returning the same values for as long as the snapshot is used — every
 // weight model in this repository is a pure table lookup, which
-// satisfies both.
+// satisfies both. The one sanctioned exception is Reweight: an owner
+// whose weight function changes on known edges re-reads exactly those.
 func Freeze(g *Graph, w WeightFunc) *Snapshot {
 	start := time.Now() //lint:allow wallclock freeze duration feeds shard stats observability, never results
 	n, m := g.NumNodes(), g.NumEdges()
@@ -145,7 +147,7 @@ func (c *Snapshot) Weight(e EdgeID) float64 { return c.w[e] }
 // build derived read-only structures over them (internal/overlay). Every
 // slice aliases the snapshot's backing arrays: callers MUST treat them as
 // immutable. Disabled aliases the graph's live disabled flags, exactly as
-// the frozen kernels see them.
+// the kernels see them.
 type CSRView struct {
 	N, M    int
 	FwdOff  []int32
@@ -181,40 +183,84 @@ func (c *Snapshot) Refresh() *Snapshot {
 	return Freeze(c.g, c.wf)
 }
 
+// Reweight re-reads the snapshot's weight function for the given edges
+// and rewrites their materialized weights: the per-edge table and the one
+// forward and one reverse slot each edge occupies. Slots are looked up by
+// edge ID, not by endpoint, so parallel edges each keep their own weight.
+// The first call builds the edge-to-slot table in one O(V+E) pass; every
+// edge after that costs O(1), against O(V+E) for a fresh Freeze.
+//
+// Reweight is for the snapshot's owner alone: it writes arrays every
+// query reads, so it must never run concurrently with a query, with
+// Weight or View readers, or on a snapshot shared with anyone else (a
+// roadnet.Network's cached snapshot, a registry shard's). Edges must be
+// below NumEdges.
+func (c *Snapshot) Reweight(edges []EdgeID) {
+	if c.fwdSlot == nil {
+		c.fwdSlot = edgeSlots(c.fwdOff, c.fwdEdge, c.n, c.m)
+		c.revSlot = edgeSlots(c.revOff, c.revEdge, c.n, c.m)
+	}
+	for _, e := range edges {
+		x := c.wf(e)
+		c.w[e] = x
+		c.fwdW[c.fwdSlot[e]] = x
+		c.revW[c.revSlot[e]] = x
+	}
+}
+
+// edgeSlots inverts one CSR side's slot-to-edge array: slot[e] is the
+// slot edge e occupies.
+func edgeSlots(off, edge []int32, n, m int) []int32 {
+	slot := make([]int32, m)
+	for u := 0; u < n; u++ {
+		for i := off[u]; i < off[u+1]; i++ {
+			slot[edge[i]] = i
+		}
+	}
+	return slot
+}
+
 // UseSnapshot attaches a frozen snapshot to the router: subsequent
-// queries run on the frozen CSR kernels instead of the live adjacency.
-// The snapshot must have been frozen from this router's graph under the
-// SAME weight function the caller passes to the query methods — with a
-// snapshot attached the materialized weights win, so passing a different
+// queries run on it instead of each freezing its own. The snapshot must
+// have been frozen from this router's graph under the SAME weight
+// function the caller passes to the query methods — with a snapshot
+// attached the materialized weights win, so passing a different
 // WeightFunc is a programming error the router cannot detect. A stale
 // snapshot (topology changed) is rebuilt transparently on the next
-// query. UseSnapshot(nil) detaches and restores the live kernels.
+// query. UseSnapshot(nil) detaches it: each query then freezes the graph
+// under its own weight function for that one call.
 func (r *Router) UseSnapshot(c *Snapshot) { r.snap = c }
 
 // Snapshot returns the attached snapshot, nil when none.
 func (r *Router) Snapshot() *Snapshot { return r.snap }
 
-// csr returns the snapshot the current query should run on: the attached
-// one, rebuilt first if topology moved on, or nil when no snapshot is
-// attached (or it belongs to another graph) — in which case the caller
-// falls through to the live kernels.
-func (r *Router) csr() *Snapshot {
-	c := r.snap
-	if c == nil || c.g != r.g {
-		return nil
+// csr returns the snapshot a query under w runs on: the attached one,
+// rebuilt first if topology moved on; or, with none attached (or one
+// frozen from another graph), Freeze(g, w) for this one call — shared by
+// the call's Yen spur workers but never cached across calls, because Go
+// cannot compare WeightFuncs and some callers' weights change between
+// calls. Callers that issue many queries attach a snapshot instead.
+func (r *Router) csr(w WeightFunc) *Snapshot {
+	if r.snap == nil || r.snap.g != r.g {
+		return Freeze(r.g, w)
 	}
-	if !c.Valid() {
-		c = Freeze(r.g, c.wf)
-		r.snap = c
-	}
-	return c
+	r.snap = r.snap.Refresh()
+	return r.snap
+}
+
+// heapItem is a (priority, node) pair in a search heap.
+type heapItem struct {
+	dist float64
+	node NodeID
 }
 
 // heapLess is the priority order of every search heap: distance, then
 // node ID. The node tie-break makes the order total, so ANY correct heap
-// — the live binary one, the frozen 4-ary one — pops the same value
-// sequence from the same push sequence, which is what makes frozen and
-// live kernels bit-identical on tied graphs (lattices tie constantly).
+// pops the same value sequence from the same push sequence. That is what
+// makes the kernels' output independent of heap arity, and what lets the
+// test-only textbook references (a binary heap, weights read through the
+// WeightFunc) reproduce it bit for bit on tied graphs (lattices tie
+// constantly).
 func heapLess(a, b heapItem) bool {
 	if a.dist != b.dist { //lint:allow floateq heap order must be exact: near-ties are distinct priorities, equal bits fall through to the node tie-break
 		return a.dist < b.dist
@@ -222,8 +268,9 @@ func heapLess(a, b heapItem) bool {
 	return a.node < b.node
 }
 
-// heap4 is a 4-ary implicit min-heap over heapItem with the same total
-// order as the live binary heap. The wider fanout halves tree depth,
+// heap4 is a 4-ary implicit min-heap over heapItem in heapLess order.
+// Lazy deletion (stale entries skipped on pop) avoids decrease-key
+// bookkeeping. The wider fanout halves the depth of a binary heap,
 // which cuts sift-down comparisons on the pop-heavy Dijkstra workloads;
 // children of i sit at 4i+1..4i+4, cache-adjacent.
 type heap4 []heapItem
@@ -280,401 +327,4 @@ func (h *heap4) pop() heapItem {
 	}
 	old[i] = it
 	return top
-}
-
-// shortestCSR is the frozen Dijkstra: the port of shortest onto the CSR
-// arrays. Bans and disabled edges are honoured exactly as live; no
-// closure is called anywhere in the loop.
-func (r *Router) shortestCSR(c *Snapshot, s, t NodeID) (Path, bool) {
-	if !r.g.validNode(s) || !r.g.validNode(t) {
-		return Path{}, false
-	}
-	if r.nodeBanned(s) || r.nodeBanned(t) {
-		return Path{}, false
-	}
-	r.cur++
-	r.h4 = r.h4[:0]
-	r.setDist(s, 0, InvalidEdge)
-	r.h4.push(heapItem{dist: 0, node: s})
-	disabled := c.disabled
-
-	for len(r.h4) > 0 {
-		it := r.h4.pop()
-		// Early exit the moment t's distance is frontier-minimal: every
-		// remaining entry has dist >= it.dist >= dist[t], and non-negative
-		// weights mean no relaxation from such a node can strictly improve
-		// any node on t's prev chain — so buildPath(s, t) here is the exact
-		// path the reference kernel returns when t itself pops (the tied
-		// smaller-ID nodes it still expands cannot change the chain).
-		if r.stamp[t] == r.cur && r.dist[t] <= it.dist {
-			return r.buildPath(s, t), true
-		}
-		u := it.node
-		if it.dist > r.dist[u] || r.stamp[u] != r.cur {
-			continue // stale heap entry
-		}
-		du := it.dist
-		for i, end := c.fwdOff[u], c.fwdOff[u+1]; i < end; i++ {
-			e := EdgeID(c.fwdEdge[i])
-			if disabled[e] || r.edgeBanned(e) {
-				continue
-			}
-			v := NodeID(c.fwdTo[i])
-			if r.nodeBanned(v) {
-				continue
-			}
-			nd := du + c.fwdW[i]
-			if r.stamp[v] != r.cur || nd < r.dist[v] {
-				r.setDist(v, nd, e)
-				r.h4.push(heapItem{dist: nd, node: v})
-			}
-		}
-	}
-	return Path{}, false
-}
-
-// shortestAStarCSR is the frozen Yen spur kernel: goal-directed A* under
-// a reverse potential, the port of shortestAStar. This is the hottest
-// loop in the repository — every Yen spur search across every attack
-// round lands here when a snapshot is attached.
-func (r *Router) shortestAStarCSR(c *Snapshot, s, t NodeID, pot *Potential, rootLen, cutoff float64) (Path, bool) {
-	if !r.g.validNode(s) || !r.g.validNode(t) {
-		return Path{}, false
-	}
-	if r.nodeBanned(s) || r.nodeBanned(t) {
-		return Path{}, false
-	}
-	hs := pot.At(s)
-	if math.IsInf(hs, 1) {
-		return Path{}, false
-	}
-	potT := pot.At(t)
-	r.cur++
-	r.h4 = r.h4[:0]
-	r.setDist(s, 0, InvalidEdge)
-	r.h4.push(heapItem{dist: hs, node: s})
-	disabled := c.disabled
-
-	for len(r.h4) > 0 {
-		it := r.h4.pop()
-		// Early exit once t's f-value is frontier-minimal. The reverse
-		// potential is consistent (exact unbanned distances; bans only
-		// remove edges), so every remaining relaxation carries f >= it.dist
-		// >= dist[t]+pot(t) and can never strictly improve a node on t's
-		// prev chain: the path is bitwise the one the reference kernel
-		// returns after grinding through the tied plateau to pop t itself.
-		// dist[t]+potT recomputes exactly the float sum t's heap entry was
-		// pushed with, so the comparison fires on the same pop where the
-		// tie-broken heap would first surface an entry not before t's.
-		// The cutoff clause keeps the exit aligned with the live kernel's
-		// bound abort: an over-cutoff finish must report "no path", not a
-		// path the live kernel would have abandoned one pop earlier.
-		if r.stamp[t] == r.cur {
-			ft := r.dist[t] + potT
-			if ft <= it.dist && rootLen+ft <= cutoff {
-				return r.buildPath(s, t), true
-			}
-		}
-		// Bound abort, mirroring shortestAStar: pops are non-decreasing,
-		// so past the cutoff no completion can come back under it.
-		if rootLen+it.dist > cutoff {
-			return Path{}, false
-		}
-		u := it.node
-		if r.stamp[u] != r.cur {
-			continue
-		}
-		gu := r.dist[u]
-		if it.dist > gu+pot.At(u) {
-			continue // stale heap entry
-		}
-		for i, end := c.fwdOff[u], c.fwdOff[u+1]; i < end; i++ {
-			e := EdgeID(c.fwdEdge[i])
-			if disabled[e] || r.edgeBanned(e) {
-				continue
-			}
-			v := NodeID(c.fwdTo[i])
-			if r.nodeBanned(v) {
-				continue
-			}
-			hv := pot.At(v)
-			if math.IsInf(hv, 1) {
-				continue // v cannot reach t even without bans
-			}
-			nd := gu + c.fwdW[i]
-			if r.stamp[v] != r.cur || nd < r.dist[v] {
-				r.setDist(v, nd, e)
-				r.h4.push(heapItem{dist: nd + hv, node: v})
-			}
-		}
-	}
-	return Path{}, false
-}
-
-// astarCSR is the frozen port of ShortestPathAStar (caller-supplied
-// heuristic; the heuristic closure is the one call the frozen kernel
-// cannot materialize).
-func (r *Router) astarCSR(c *Snapshot, s, t NodeID, h Heuristic) (Path, bool) {
-	if !r.g.validNode(s) || !r.g.validNode(t) {
-		return Path{}, false
-	}
-	if s == t {
-		return Path{Nodes: []NodeID{s}}, true
-	}
-	r.cur++
-	r.h4 = r.h4[:0]
-	r.setDist(s, 0, InvalidEdge)
-	r.h4.push(heapItem{dist: h(s), node: s})
-	disabled := c.disabled
-
-	for len(r.h4) > 0 {
-		if r.interrupted() {
-			return Path{}, false // cancelled mid-search (see SetContext)
-		}
-		it := r.h4.pop()
-		u := it.node
-		if r.stamp[u] != r.cur {
-			continue
-		}
-		gu := r.dist[u]
-		if it.dist > gu+h(u)+1e-12 {
-			continue // stale entry
-		}
-		if u == t {
-			return r.buildPath(s, t), true
-		}
-		for i, end := c.fwdOff[u], c.fwdOff[u+1]; i < end; i++ {
-			e := EdgeID(c.fwdEdge[i])
-			if disabled[e] {
-				continue
-			}
-			v := NodeID(c.fwdTo[i])
-			nd := gu + c.fwdW[i]
-			if r.stamp[v] != r.cur || nd < r.dist[v] {
-				r.setDist(v, nd, e)
-				r.h4.push(heapItem{dist: nd + h(v), node: v})
-			}
-		}
-	}
-	return Path{}, false
-}
-
-// distancesFromCSR is the frozen port of the DistancesFrom sweep.
-func (r *Router) distancesFromCSR(c *Snapshot, s NodeID) []float64 {
-	n := r.g.NumNodes()
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Inf(1)
-	}
-	if !r.g.validNode(s) {
-		return out
-	}
-	r.cur++
-	r.h4 = r.h4[:0]
-	r.setDist(s, 0, InvalidEdge)
-	r.h4.push(heapItem{dist: 0, node: s})
-	disabled := c.disabled
-	for len(r.h4) > 0 {
-		if r.interrupted() {
-			break // cancelled: unsettled nodes stay +Inf (see SetContext)
-		}
-		it := r.h4.pop()
-		u := it.node
-		if it.dist > r.dist[u] || r.stamp[u] != r.cur {
-			continue
-		}
-		out[u] = it.dist
-		for i, end := c.fwdOff[u], c.fwdOff[u+1]; i < end; i++ {
-			e := EdgeID(c.fwdEdge[i])
-			if disabled[e] {
-				continue
-			}
-			v := NodeID(c.fwdTo[i])
-			nd := it.dist + c.fwdW[i]
-			if r.stamp[v] != r.cur || nd < r.dist[v] {
-				r.setDist(v, nd, e)
-				r.h4.push(heapItem{dist: nd, node: v})
-			}
-		}
-	}
-	return out
-}
-
-// reversePotentialCSR is the frozen port of ReversePotential: one full
-// reverse Dijkstra over the rev CSR arrays.
-func (r *Router) reversePotentialCSR(c *Snapshot, t NodeID) *Potential {
-	h := make([]float64, r.g.NumNodes())
-	for i := range h {
-		h[i] = math.Inf(1)
-	}
-	pot := &Potential{target: t, h: h}
-	if !r.g.validNode(t) {
-		return pot
-	}
-	r.curB++
-	r.h4B = r.h4B[:0]
-	r.setDistB(t, 0, InvalidEdge)
-	r.h4B.push(heapItem{dist: 0, node: t})
-	disabled := c.disabled
-	for len(r.h4B) > 0 {
-		if r.interrupted() {
-			break // cancelled: unsettled nodes stay +Inf (see SetContext)
-		}
-		it := r.h4B.pop()
-		u := it.node
-		if it.dist > r.distB[u] || r.stampB[u] != r.curB {
-			continue
-		}
-		h[u] = it.dist
-		for i, end := c.revOff[u], c.revOff[u+1]; i < end; i++ {
-			e := EdgeID(c.revEdge[i])
-			if disabled[e] {
-				continue
-			}
-			v := NodeID(c.revFrom[i])
-			nd := it.dist + c.revW[i]
-			if r.stampB[v] != r.curB || nd < r.distB[v] {
-				r.setDistB(v, nd, e)
-				r.h4B.push(heapItem{dist: nd, node: v})
-			}
-		}
-	}
-	return pot
-}
-
-// bidirectionalCSR is the frozen port of ShortestPathBidirectional. The
-// settled sets use the router's epoch-stamped arrays instead of the live
-// kernel's per-query maps — membership semantics are identical, so
-// outputs are too, without the per-query map allocations.
-func (r *Router) bidirectionalCSR(c *Snapshot, s, t NodeID) (Path, bool) {
-	if !r.g.validNode(s) || !r.g.validNode(t) {
-		return Path{}, false
-	}
-	if s == t {
-		return Path{Nodes: []NodeID{s}}, true
-	}
-	r.cur++
-	r.curB++
-	fh := r.h4[:0]
-	bh := r.h4B[:0]
-
-	r.setDist(s, 0, InvalidEdge)
-	fh.push(heapItem{dist: 0, node: s})
-	r.setDistB(t, 0, InvalidEdge)
-	bh.push(heapItem{dist: 0, node: t})
-
-	best := math.Inf(1)
-	var meet NodeID = InvalidNode
-	disabled := c.disabled
-
-	topOf := func(h heap4) float64 {
-		if len(h) == 0 {
-			return math.Inf(1)
-		}
-		return h[0].dist
-	}
-
-	cancelled := false
-	for len(fh) > 0 || len(bh) > 0 {
-		if r.interrupted() {
-			cancelled = true // a found meet may be suboptimal: report no path
-			break
-		}
-		// Termination: no better meeting can exist.
-		if topOf(fh)+topOf(bh) >= best {
-			break
-		}
-		// Expand the smaller frontier.
-		forward := topOf(fh) <= topOf(bh)
-		if forward {
-			it := fh.pop()
-			u := it.node
-			if it.dist > r.dist[u] || r.stamp[u] != r.cur {
-				continue
-			}
-			if r.settledF[u] == r.cur {
-				continue
-			}
-			r.settledF[u] = r.cur
-			if r.stampB[u] == r.curB {
-				if d := it.dist + r.distB[u]; d < best {
-					best = d
-					meet = u
-				}
-			}
-			for i, end := c.fwdOff[u], c.fwdOff[u+1]; i < end; i++ {
-				e := EdgeID(c.fwdEdge[i])
-				if disabled[e] {
-					continue
-				}
-				v := NodeID(c.fwdTo[i])
-				nd := it.dist + c.fwdW[i]
-				if r.stamp[v] != r.cur || nd < r.dist[v] {
-					r.setDist(v, nd, e)
-					fh.push(heapItem{dist: nd, node: v})
-					if r.stampB[v] == r.curB {
-						if d := nd + r.distB[v]; d < best {
-							best = d
-							meet = v
-						}
-					}
-				}
-			}
-		} else {
-			it := bh.pop()
-			u := it.node
-			if it.dist > r.distB[u] || r.stampB[u] != r.curB {
-				continue
-			}
-			if r.settledB[u] == r.curB {
-				continue
-			}
-			r.settledB[u] = r.curB
-			if r.stamp[u] == r.cur {
-				if d := it.dist + r.dist[u]; d < best {
-					best = d
-					meet = u
-				}
-			}
-			for i, end := c.revOff[u], c.revOff[u+1]; i < end; i++ {
-				e := EdgeID(c.revEdge[i])
-				if disabled[e] {
-					continue
-				}
-				v := NodeID(c.revFrom[i])
-				nd := it.dist + c.revW[i]
-				if r.stampB[v] != r.curB || nd < r.distB[v] {
-					r.setDistB(v, nd, e)
-					bh.push(heapItem{dist: nd, node: v})
-					if r.stamp[v] == r.cur {
-						if d := nd + r.dist[v]; d < best {
-							best = d
-							meet = v
-						}
-					}
-				}
-			}
-		}
-	}
-	r.h4 = fh
-	r.h4B = bh
-
-	if cancelled || meet == InvalidNode {
-		return Path{}, false
-	}
-	// Assemble: forward half via prevEdge, backward half via prevEdgeB.
-	forward := r.buildPath(s, meet)
-	var tailEdges []EdgeID
-	for n := meet; n != t; {
-		e := r.prevEdgeB[n]
-		tailEdges = append(tailEdges, e)
-		n = r.g.arcs[e].To
-	}
-	nodes := forward.Nodes
-	edges := forward.Edges
-	for _, e := range tailEdges {
-		edges = append(edges, e)
-		nodes = append(nodes, r.g.arcs[e].To)
-	}
-	return Path{Nodes: nodes, Edges: edges, Length: best}, true
 }

@@ -1,19 +1,21 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// Frozen-kernel differential tests: a router with a snapshot attached must
-// return BIT-IDENTICAL results to the live-graph kernels — same edges,
+// Kernel differential tests: every Router query must return BIT-IDENTICAL
+// results to the textbook references in reference_test.go — same edges,
 // same nodes, same float length bits — on tie-free AND massively tied
 // graphs, with disabled-edge overlays, ban overlays, and mid-run
-// DisableEdge. The guarantee rests on the shared heapLess total order
-// (dist, then node): any correct heap pops the same value sequence, so
-// heap arity cannot show up in the output.
+// DisableEdge, whether the router has a snapshot attached or freezes one
+// per call. The guarantee rests on the shared heapLess total order (dist,
+// then node): any correct heap pops the same value sequence, so heap arity
+// cannot show up in the output.
 
 // frozenRouter returns a router for g with a fresh snapshot attached.
 func frozenRouter(g *Graph, w WeightFunc) *Router {
@@ -68,10 +70,15 @@ func testGraphs(rng *rand.Rand) []struct {
 	}
 }
 
-// TestFrozenPointQueriesMatchLive checks every point-to-point kernel —
-// Dijkstra, avoiding-Dijkstra, A* (zero and potential heuristics),
-// bidirectional — plus the full-sweep tables against the live kernels.
-func TestFrozenPointQueriesMatchLive(t *testing.T) {
+// TestPointQueriesMatchReference checks every point-to-point query and
+// both full-sweep tables against the textbook references, on a router with
+// a snapshot attached and on one that freezes per call. Dijkstra, the
+// avoiding Dijkstra, DistancesFrom and ReversePotential must match bit for
+// bit. A* and the bidirectional search must return a valid s->t path
+// whose edge weights, summed in path order, equal the reference length
+// exactly; the bidirectional search adds its two halves' distances, so
+// its reported Length may differ from that sum in the last bits.
+func TestPointQueriesMatchReference(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 80}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -79,57 +86,73 @@ func TestFrozenPointQueriesMatchLive(t *testing.T) {
 			n := tc.g.NumNodes()
 			s := NodeID(rng.Intn(n))
 			tgt := NodeID(rng.Intn(n))
-			live := NewRouter(tc.g)
-			froz := frozenRouter(tc.g, tc.w)
-
-			lp, lok := live.ShortestPath(s, tgt, tc.w)
-			fp, fok := froz.ShortestPath(s, tgt, tc.w)
-			if !samePath(fp, lp, fok, lok) {
-				t.Logf("seed %d %s: ShortestPath mismatch: %v/%v vs %v/%v", seed, tc.name, fp, fok, lp, lok)
-				return false
-			}
-
 			var avoid []NodeID
 			for i := 0; i < rng.Intn(4); i++ {
 				avoid = append(avoid, NodeID(rng.Intn(n)))
 			}
-			lp, lok = live.ShortestPathAvoiding(s, tgt, tc.w, avoid)
-			fp, fok = froz.ShortestPathAvoiding(s, tgt, tc.w, avoid)
-			if !samePath(fp, lp, fok, lok) {
-				t.Logf("seed %d %s: ShortestPathAvoiding mismatch", seed, tc.name)
-				return false
-			}
 
-			lp, lok = live.ShortestPathBidirectional(s, tgt, tc.w)
-			fp, fok = froz.ShortestPathBidirectional(s, tgt, tc.w)
-			if !samePath(fp, lp, fok, lok) {
-				t.Logf("seed %d %s: ShortestPathBidirectional mismatch: %v/%v vs %v/%v", seed, tc.name, fp, fok, lp, lok)
-				return false
-			}
-
-			zero := func(NodeID) float64 { return 0 }
-			lp, lok = live.ShortestPathAStar(s, tgt, tc.w, zero)
-			fp, fok = froz.ShortestPathAStar(s, tgt, tc.w, zero)
-			if !samePath(fp, lp, fok, lok) {
-				t.Logf("seed %d %s: ShortestPathAStar mismatch", seed, tc.name)
-				return false
-			}
-
-			lpot := live.ReversePotential(tgt, tc.w)
-			fpot := froz.ReversePotential(tgt, tc.w)
-			for v := 0; v < n; v++ {
-				if lpot.At(NodeID(v)) != fpot.At(NodeID(v)) {
-					t.Logf("seed %d %s: ReversePotential differs at %d", seed, tc.name, v)
-					return false
+			ref := NewRouter(tc.g)
+			ref.grow()
+			ref.clearBans()
+			wantP, wantOK := refShortest(ref, s, tgt, tc.w)
+			for _, nd := range avoid {
+				if nd != s && nd != tgt {
+					ref.banNode(nd)
 				}
 			}
+			wantAvoidP, wantAvoidOK := refShortest(ref, s, tgt, tc.w)
+			wantDist := refSweep(tc.g, s, tc.w, false)
+			wantPot := refSweep(tc.g, tgt, tc.w, true)
 
-			ld := live.DistancesFrom(s, tc.w)
-			fd := froz.DistancesFrom(s, tc.w)
-			for v := range ld {
-				if ld[v] != fd[v] {
-					t.Logf("seed %d %s: DistancesFrom differs at %d: %v vs %v", seed, tc.name, v, fd[v], ld[v])
+			for _, r := range []*Router{frozenRouter(tc.g, tc.w), NewRouter(tc.g)} {
+				mode := "attached"
+				if r.Snapshot() == nil {
+					mode = "per-call"
+				}
+				fail := func(format string, args ...any) bool {
+					t.Logf("seed %d %s %s: "+format, append([]any{seed, tc.name, mode}, args...)...)
 					return false
+				}
+				if p, ok := r.ShortestPath(s, tgt, tc.w); !samePath(p, wantP, ok, wantOK) {
+					return fail("ShortestPath %v/%v, want %v/%v", p, ok, wantP, wantOK)
+				}
+				if p, ok := r.ShortestPathAvoiding(s, tgt, tc.w, avoid); !samePath(p, wantAvoidP, ok, wantAvoidOK) {
+					return fail("ShortestPathAvoiding %v/%v, want %v/%v", p, ok, wantAvoidP, wantAvoidOK)
+				}
+				zero := func(NodeID) float64 { return 0 }
+				potH := func(v NodeID) float64 { return wantPot[v] }
+				for name, q := range map[string]func() (Path, bool){
+					"ShortestPathBidirectional": func() (Path, bool) { return r.ShortestPathBidirectional(s, tgt, tc.w) },
+					"ShortestPathAStar(zero)":   func() (Path, bool) { return r.ShortestPathAStar(s, tgt, tc.w, zero) },
+					"ShortestPathAStar(exact)":  func() (Path, bool) { return r.ShortestPathAStar(s, tgt, tc.w, potH) },
+				} {
+					p, ok := q()
+					if ok != wantOK {
+						return fail("%s reachable=%v, want %v", name, ok, wantOK)
+					}
+					if !ok {
+						continue
+					}
+					if p.Validate(tc.g) != nil || p.Source() != s || p.Target() != tgt {
+						return fail("%s returned an invalid path %v", name, p)
+					}
+					sum := 0.0
+					for _, e := range p.Edges {
+						sum += tc.w(e)
+					}
+					if sum != wantP.Length || math.Abs(p.Length-sum) > 1e-12*sum {
+						return fail("%s length %v (edge sum %v), want %v", name, p.Length, sum, wantP.Length)
+					}
+				}
+				pot := r.ReversePotential(tgt, tc.w)
+				dist := r.DistancesFrom(s, tc.w)
+				for v := 0; v < n; v++ {
+					if pot.At(NodeID(v)) != wantPot[v] {
+						return fail("ReversePotential differs at %d: %v vs %v", v, pot.At(NodeID(v)), wantPot[v])
+					}
+					if dist[v] != wantDist[v] {
+						return fail("DistancesFrom differs at %d: %v vs %v", v, dist[v], wantDist[v])
+					}
 				}
 			}
 		}
@@ -140,12 +163,16 @@ func TestFrozenPointQueriesMatchLive(t *testing.T) {
 	}
 }
 
-// TestFrozenYenMatchesLive checks the full Yen engine — serial and with
-// the parallel spur fan-out forced on — path list bit-identical between
-// frozen and live, in both weight regimes (on ties, frozen and live must
-// still agree with each other exactly, even though the representative
-// choice vs other algorithms is free).
-func TestFrozenYenMatchesLive(t *testing.T) {
+// TestYenMatchesReferenceBothModes checks the full Yen engine — serial
+// and with the parallel spur fan-out forced on — on a router with a
+// snapshot attached and on one that freezes per call (its spur workers
+// then share the per-call snapshot). Every mode must return the same
+// path list bit for bit. On tie-free graphs that list must also equal
+// yenReference's exactly; on the tied grid, where the goal-blind
+// reference may pick other representatives, its length sequence must.
+// The exclusivity oracle gets the same treatment under cuts, with a
+// potential cached before the cuts.
+func TestYenMatchesReferenceBothModes(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -154,42 +181,55 @@ func TestFrozenYenMatchesLive(t *testing.T) {
 			s := NodeID(rng.Intn(n))
 			tgt := NodeID(rng.Intn(n))
 			k := 1 + rng.Intn(20)
+			tied := tc.name == "grid"
 
-			live := NewRouter(tc.g)
-			live.SetSpurWorkers(1)
-			want := live.KShortest(s, tgt, k, tc.w)
-
+			ref := yenReference(NewRouter(tc.g), s, tgt, k, tc.w)
+			var first []Path
 			for _, workers := range []int{1, 3} {
-				froz := frozenRouter(tc.g, tc.w)
-				froz.SetSpurWorkers(workers)
-				if err := samePathList(froz.KShortest(s, tgt, k, tc.w), want); err != nil {
-					t.Logf("seed %d %s workers=%d: %v", seed, tc.name, workers, err)
-					return false
+				for _, r := range []*Router{frozenRouter(tc.g, tc.w), NewRouter(tc.g)} {
+					r.SetSpurWorkers(workers)
+					got := r.KShortest(s, tgt, k, tc.w)
+					if first == nil {
+						first = got
+					}
+					err := samePathList(got, first)
+					if err == nil && !tied {
+						err = samePathList(got, ref)
+					}
+					if err == nil && tied {
+						err = sameLengths(got, ref)
+					}
+					if err != nil {
+						t.Logf("seed %d %s workers=%d attached=%v: %v", seed, tc.name, workers, r.Snapshot() != nil, err)
+						return false
+					}
 				}
 			}
 
-			// Exclusivity oracle with a potential cached before cuts: both
-			// sides use a pre-cut potential (on tied graphs the choice of
-			// potential legitimately picks the tied representative, so the
-			// comparison must hold it fixed).
-			if len(want) > 0 {
-				liveRef := NewRouter(tc.g)
-				livePot := liveRef.ReversePotential(tgt, tc.w)
-				froz := frozenRouter(tc.g, tc.w)
-				frozPot := froz.ReversePotential(tgt, tc.w)
-				tx := tc.g.Begin()
-				for e := 0; e < tc.g.NumEdges(); e++ {
-					if rng.Intn(8) == 0 {
-						tx.Disable(EdgeID(e))
-					}
+			if len(ref) == 0 {
+				continue
+			}
+			froz := frozenRouter(tc.g, tc.w)
+			pot := froz.ReversePotential(tgt, tc.w)
+			tx := tc.g.Begin()
+			for e := 0; e < tc.g.NumEdges(); e++ {
+				if rng.Intn(8) == 0 {
+					tx.Disable(EdgeID(e))
 				}
-				wantAlt, wantOK := liveRef.BestAlternativeWithPotential(s, tgt, tc.w, want[0], livePot)
-				gotAlt, gotOK := froz.BestAlternativeWithPotential(s, tgt, tc.w, want[0], frozPot)
-				tx.Rollback()
-				if !samePath(gotAlt, wantAlt, gotOK, wantOK) {
-					t.Logf("seed %d %s: BestAlternative under cuts mismatch", seed, tc.name)
-					return false
-				}
+			}
+			wantAlt, wantOK := refBestAlternative(NewRouter(tc.g), s, tgt, tc.w, ref[0])
+			gotAlt, gotOK := froz.BestAlternativeWithPotential(s, tgt, tc.w, ref[0], pot)
+			perCallAlt, perCallOK := NewRouter(tc.g).BestAlternativeWithPotential(s, tgt, tc.w, ref[0], pot)
+			tx.Rollback()
+			ok := samePath(perCallAlt, gotAlt, perCallOK, gotOK)
+			if tied {
+				ok = ok && gotOK == wantOK && (!gotOK || gotAlt.Length == wantAlt.Length)
+			} else {
+				ok = ok && samePath(gotAlt, wantAlt, gotOK, wantOK)
+			}
+			if !ok {
+				t.Logf("seed %d %s: BestAlternative under cuts mismatch", seed, tc.name)
+				return false
 			}
 		}
 		return true
@@ -199,8 +239,22 @@ func TestFrozenYenMatchesLive(t *testing.T) {
 	}
 }
 
+// sameLengths reports whether two path lists have bit-identical length
+// sequences.
+func sameLengths(got, want []Path) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("got %d paths, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Length != want[i].Length {
+			return fmt.Errorf("path %d: length %v, want %v", i, got[i].Length, want[i].Length)
+		}
+	}
+	return nil
+}
+
 // TestFrozenDisableEdgeOverlay locks in the no-rebuild contract: toggling
-// edges between queries must be visible to the frozen kernels through the
+// edges between queries must be visible to the kernels through the
 // aliased disabled flags, with the snapshot pointer unchanged.
 func TestFrozenDisableEdgeOverlay(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -212,7 +266,9 @@ func TestFrozenDisableEdgeOverlay(t *testing.T) {
 
 		froz := frozenRouter(g, w)
 		snap := froz.Snapshot()
-		live := NewRouter(g)
+		ref := NewRouter(g)
+		ref.grow()
+		ref.clearBans()
 
 		p, ok := froz.ShortestPath(s, tgt, w)
 		if !ok || len(p.Edges) == 0 {
@@ -222,14 +278,14 @@ func TestFrozenDisableEdgeOverlay(t *testing.T) {
 		// path, re-query, restore.
 		cut := p.Edges[rng.Intn(len(p.Edges))]
 		g.DisableEdge(cut)
-		lp, lok := live.ShortestPath(s, tgt, w)
+		lp, lok := refShortest(ref, s, tgt, w)
 		fp, fok := froz.ShortestPath(s, tgt, w)
 		g.EnableEdge(cut)
 		if !samePath(fp, lp, fok, lok) {
 			t.Fatalf("trial %d: post-disable mismatch: %v/%v vs %v/%v", trial, fp, fok, lp, lok)
 		}
 		if fok && fp.HasEdge(cut) {
-			t.Fatalf("trial %d: frozen kernel traversed the disabled edge %d", trial, cut)
+			t.Fatalf("trial %d: kernel traversed the disabled edge %d", trial, cut)
 		}
 		if froz.Snapshot() != snap {
 			t.Fatalf("trial %d: DisableEdge forced a snapshot rebuild", trial)
@@ -275,9 +331,10 @@ func TestFrozenSnapshotInvalidation(t *testing.T) {
 	}
 }
 
-// TestBetweennessParallelMatchesSerial: bitwise equality with
-// EdgeBetweennessCtx for several worker counts, with sampling,
-// normalization, and disabled edges in the mix.
+// TestBetweennessParallelMatchesSerial: bitwise equality with the
+// textbook serial Brandes (refEdgeBetweenness) for EdgeBetweenness and
+// several worker counts, with sampling, normalization, and disabled edges
+// in the mix.
 func TestBetweennessParallelMatchesSerial(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
 	prop := func(seed int64) bool {
@@ -291,7 +348,8 @@ func TestBetweennessParallelMatchesSerial(t *testing.T) {
 					opts.Sources = append(opts.Sources, NodeID(i))
 				}
 			}
-			want := EdgeBetweenness(tc.g, tc.w, opts)
+			want := refEdgeBetweenness(tc.g, tc.w, opts)
+			runs := map[string][]float64{"EdgeBetweenness": EdgeBetweenness(tc.g, tc.w, opts)}
 			snap := Freeze(tc.g, tc.w)
 			for _, workers := range []int{1, 2, 5} {
 				got, err := BetweennessParallel(t.Context(), snap, opts, workers)
@@ -299,10 +357,13 @@ func TestBetweennessParallelMatchesSerial(t *testing.T) {
 					t.Logf("seed %d %s workers=%d: %v", seed, tc.name, workers, err)
 					return false
 				}
+				runs[fmt.Sprintf("workers=%d", workers)] = got
+			}
+			for name, got := range runs {
 				for e := range want {
 					if got[e] != want[e] {
-						t.Logf("seed %d %s workers=%d: edge %d: %v vs %v (bit-identical required)",
-							seed, tc.name, workers, e, got[e], want[e])
+						t.Logf("seed %d %s %s: edge %d: %v vs %v (bit-identical required)",
+							seed, tc.name, name, e, got[e], want[e])
 						return false
 					}
 				}
@@ -400,7 +461,7 @@ func TestFreezeWeightTable(t *testing.T) {
 }
 
 // TestFrozenDistancesBellmanFord cross-checks the frozen full sweep
-// against the independent Bellman-Ford oracle (not just the live mirror).
+// against the independent Bellman-Ford oracle.
 func TestFrozenDistancesBellmanFord(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 25; trial++ {
@@ -417,5 +478,48 @@ func TestFrozenDistancesBellmanFord(t *testing.T) {
 				t.Fatalf("trial %d node %d: %v, want %v", trial, v, got[v], want[v])
 			}
 		}
+	}
+}
+
+// TestSnapshotReweight: Reweight rewrites exactly the named edges — in
+// the per-edge table and in their forward and reverse slots, found by
+// edge ID so each of several parallel edges keeps its own weight — and
+// leaves every other edge at its frozen weight. Queries afterwards run on
+// the new weights.
+func TestSnapshotReweight(t *testing.T) {
+	g := New(3)
+	a := g.MustAddEdge(0, 1)
+	b := g.MustAddEdge(0, 1) // parallel to a
+	c := g.MustAddEdge(0, 1) // parallel to a and b
+	d := g.MustAddEdge(1, 2)
+	g.MustAddEdge(0, 2)
+	weights := []float64{5, 6, 7, 1, 9}
+	w := func(e EdgeID) float64 { return weights[e] }
+	r := frozenRouter(g, w)
+	snap := r.Snapshot()
+	if p, ok := r.ShortestPath(0, 2, w); !ok || p.Length != 6 || p.Edges[0] != a {
+		t.Fatalf("before Reweight: %v %v, want 6 via edge %d", p, ok, a)
+	}
+
+	weights[a], weights[c] = 20, 2
+	snap.Reweight([]EdgeID{a, c})
+	fresh := Freeze(g, w)
+	for i := range fresh.w {
+		if snap.w[i] != fresh.w[i] || snap.fwdW[i] != fresh.fwdW[i] || snap.revW[i] != fresh.revW[i] {
+			t.Fatalf("slot/edge %d: reweighted (%v, %v, %v), fresh Freeze (%v, %v, %v)", i,
+				snap.w[i], snap.fwdW[i], snap.revW[i], fresh.w[i], fresh.fwdW[i], fresh.revW[i])
+		}
+	}
+	ref := NewRouter(g)
+	ref.grow()
+	ref.clearBans()
+	want, wantOK := refShortest(ref, 0, 2, w)
+	got, ok := r.ShortestPath(0, 2, w)
+	if !samePath(got, want, ok, wantOK) || got.Length != 3 || got.Edges[0] != c || got.Edges[1] != d {
+		t.Fatalf("after Reweight: %v %v, want %v (3 via edges %d, %d)", got, ok, want, c, d)
+	}
+	weights[b] = 0.5 // changed but never reweighted: the snapshot keeps 6
+	if snap.Weight(b) != 6 {
+		t.Fatalf("edge %d: snapshot weight %v, want the frozen 6", b, snap.Weight(b))
 	}
 }

@@ -22,26 +22,24 @@ type Router struct {
 	prevEdgeB []EdgeID
 	stampB    []uint64
 	curB      uint64
-	heapB     nodeHeap
 
 	nodeBan  []uint64
 	edgeBan  []uint64
 	banEpoch uint64
 
-	heap nodeHeap
-
-	// Frozen-kernel state: the attached CSR snapshot (nil → live kernels),
-	// the 4-ary heaps the frozen kernels run on, and epoch-stamped settled
-	// sets for the frozen bidirectional search (the live one uses maps).
+	// The attached snapshot (nil: each query freezes its own, see csr),
+	// the forward and backward search heaps, and the epoch-stamped
+	// settled sets of the bidirectional search.
 	snap     *Snapshot
 	h4       heap4
 	h4B      heap4
 	settledF []uint64
 	settledB []uint64
 
-	// Yen spur fan-out: worker routers sharing the read-only graph. Bans
-	// and scratch arrays are per-router, so concurrent spur searches on
-	// distinct pool routers are race-free by construction.
+	// Yen spur fan-out: worker routers sharing the read-only graph and
+	// the coordinator's snapshot. Bans and scratch arrays are per-router,
+	// so concurrent spur searches on distinct pool routers are race-free
+	// by construction.
 	spurWorkers int
 	spurPool    []*Router
 
@@ -50,9 +48,11 @@ type Router struct {
 	ctx context.Context
 }
 
-// NewRouter returns a Router for g. The router tracks g live: edges added,
-// disabled, or enabled after creation are observed by later queries (Grow is
-// called lazily).
+// NewRouter returns a Router for g. Every query runs on a frozen CSR
+// snapshot: attach one with UseSnapshot to amortize it over many queries;
+// without one each query freezes g under its own weight function. The
+// router tracks g live either way: edges added, disabled, or enabled after
+// creation are observed by later queries (scratch arrays grow lazily).
 func NewRouter(g *Graph) *Router {
 	return &Router{g: g}
 }
@@ -106,11 +106,13 @@ func (r *Router) edgeBanned(e EdgeID) bool { return r.edgeBan[e] == r.banEpoch }
 // ShortestPath returns a minimum-weight path from s to t under w, or
 // ok == false if t is unreachable. If s == t the result is the trivial
 // zero-length path. Ties between equal-length paths are broken arbitrarily
-// but deterministically (by edge insertion order).
+// but deterministically (by edge insertion order). Under a cancelled
+// SetContext context the search stops early and reports no path; callers
+// must re-check the context before trusting a negative.
 func (r *Router) ShortestPath(s, t NodeID, w WeightFunc) (Path, bool) {
 	r.grow()
 	r.clearBans()
-	return r.shortest(s, t, w)
+	return r.shortest(r.csr(w), s, t)
 }
 
 // ShortestPathAvoiding returns a minimum-weight s->t path that visits none
@@ -124,7 +126,7 @@ func (r *Router) ShortestPathAvoiding(s, t NodeID, w WeightFunc, avoid []NodeID)
 			r.banNode(n)
 		}
 	}
-	return r.shortest(s, t, w)
+	return r.shortest(r.csr(w), s, t)
 }
 
 // ShortestDist returns the minimum path weight from s to t under w, or
@@ -137,12 +139,10 @@ func (r *Router) ShortestDist(s, t NodeID, w WeightFunc) float64 {
 	return p.Length
 }
 
-// shortest runs Dijkstra from s with the current bans in effect, stopping as
-// soon as t is settled. Callers must have called grow().
-func (r *Router) shortest(s, t NodeID, w WeightFunc) (Path, bool) {
-	if c := r.csr(); c != nil {
-		return r.shortestCSR(c, s, t)
-	}
+// shortest runs Dijkstra from s on c with the current bans in effect,
+// stopping as soon as t's distance is final. Callers must have called
+// grow().
+func (r *Router) shortest(c *Snapshot, s, t NodeID) (Path, bool) {
 	if !r.g.validNode(s) || !r.g.validNode(t) {
 		return Path{}, false
 	}
@@ -150,36 +150,43 @@ func (r *Router) shortest(s, t NodeID, w WeightFunc) (Path, bool) {
 		return Path{}, false
 	}
 	r.cur++
-	r.heap = r.heap[:0]
-
+	r.h4 = r.h4[:0]
 	r.setDist(s, 0, InvalidEdge)
-	r.heap.push(heapItem{dist: 0, node: s})
+	r.h4.push(heapItem{dist: 0, node: s})
+	disabled := c.disabled
 
-	for len(r.heap) > 0 {
+	for len(r.h4) > 0 {
 		if r.interrupted() {
 			return Path{}, false // cancelled mid-search (see SetContext)
 		}
-		it := r.heap.pop()
+		it := r.h4.pop()
+		// Early exit the moment t's distance is frontier-minimal: every
+		// remaining entry has dist >= it.dist >= dist[t], and non-negative
+		// weights mean no relaxation from such a node can strictly improve
+		// any node on t's prev chain — so buildPath(s, t) here is the exact
+		// path a textbook Dijkstra returns when t itself pops (the tied
+		// smaller-ID nodes it still expands cannot change the chain).
+		if r.stamp[t] == r.cur && r.dist[t] <= it.dist {
+			return r.buildPath(s, t), true
+		}
 		u := it.node
 		if it.dist > r.dist[u] || r.stamp[u] != r.cur {
 			continue // stale heap entry
 		}
-		if u == t {
-			return r.buildPath(s, t), true
-		}
 		du := it.dist
-		for _, e := range r.g.out[u] {
-			if r.g.disabled[e] || r.edgeBanned(e) {
+		for i, end := c.fwdOff[u], c.fwdOff[u+1]; i < end; i++ {
+			e := EdgeID(c.fwdEdge[i])
+			if disabled[e] || r.edgeBanned(e) {
 				continue
 			}
-			v := r.g.arcs[e].To
+			v := NodeID(c.fwdTo[i])
 			if r.nodeBanned(v) {
 				continue
 			}
-			nd := du + w(e)
+			nd := du + c.fwdW[i]
 			if r.stamp[v] != r.cur || nd < r.dist[v] {
 				r.setDist(v, nd, e)
-				r.heap.push(heapItem{dist: nd, node: v})
+				r.h4.push(heapItem{dist: nd, node: v})
 			}
 		}
 	}
@@ -219,11 +226,8 @@ func (r *Router) buildPath(s, t NodeID) Path {
 func (r *Router) DistancesFrom(s NodeID, w WeightFunc) []float64 {
 	r.grow()
 	r.clearBans()
-	if c := r.csr(); c != nil {
-		return r.distancesFromCSR(c, s)
-	}
-	n := r.g.NumNodes()
-	out := make([]float64, n)
+	c := r.csr(w)
+	out := make([]float64, r.g.NumNodes())
 	for i := range out {
 		out[i] = math.Inf(1)
 	}
@@ -231,81 +235,32 @@ func (r *Router) DistancesFrom(s NodeID, w WeightFunc) []float64 {
 		return out
 	}
 	r.cur++
-	r.heap = r.heap[:0]
+	r.h4 = r.h4[:0]
 	r.setDist(s, 0, InvalidEdge)
-	r.heap.push(heapItem{dist: 0, node: s})
-	for len(r.heap) > 0 {
+	r.h4.push(heapItem{dist: 0, node: s})
+	disabled := c.disabled
+	for len(r.h4) > 0 {
 		if r.interrupted() {
 			break // cancelled: unsettled nodes stay +Inf (see SetContext)
 		}
-		it := r.heap.pop()
+		it := r.h4.pop()
 		u := it.node
 		if it.dist > r.dist[u] || r.stamp[u] != r.cur {
 			continue
 		}
 		out[u] = it.dist
-		for _, e := range r.g.out[u] {
-			if r.g.disabled[e] {
+		for i, end := c.fwdOff[u], c.fwdOff[u+1]; i < end; i++ {
+			e := EdgeID(c.fwdEdge[i])
+			if disabled[e] {
 				continue
 			}
-			v := r.g.arcs[e].To
-			nd := it.dist + w(e)
+			v := NodeID(c.fwdTo[i])
+			nd := it.dist + c.fwdW[i]
 			if r.stamp[v] != r.cur || nd < r.dist[v] {
 				r.setDist(v, nd, e)
-				r.heap.push(heapItem{dist: nd, node: v})
+				r.h4.push(heapItem{dist: nd, node: v})
 			}
 		}
 	}
 	return out
-}
-
-// heapItem is a (distance, node) pair in the Dijkstra priority queue.
-type heapItem struct {
-	dist float64
-	node NodeID
-}
-
-// nodeHeap is a hand-rolled binary min-heap. Lazy deletion (stale entries
-// skipped on pop) avoids decrease-key bookkeeping. It shares heapLess (see
-// csr.go) with the frozen 4-ary heap: the total order makes pop sequences
-// independent of heap arity, which is what keeps frozen kernels
-// bit-identical to these live ones on tie-heavy graphs.
-type nodeHeap []heapItem
-
-func (h *nodeHeap) push(it heapItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !heapLess((*h)[i], (*h)[parent]) {
-			break
-		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
-		i = parent
-	}
-}
-
-func (h *nodeHeap) pop() heapItem {
-	old := *h
-	top := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	*h = old[:last]
-	i := 0
-	for {
-		l, rr := 2*i+1, 2*i+2
-		small := i
-		if l < last && heapLess(old[l], old[small]) {
-			small = l
-		}
-		if rr < last && heapLess(old[rr], old[small]) {
-			small = rr
-		}
-		if small == i {
-			break
-		}
-		old[i], old[small] = old[small], old[i]
-		i = small
-	}
-	return top
 }

@@ -51,10 +51,12 @@ func (p *Potential) At(v NodeID) float64 {
 // before trusting results built from it.
 func (r *Router) ReversePotential(t NodeID, w WeightFunc) *Potential {
 	r.grow()
+	return r.reversePotential(r.csr(w), t)
+}
+
+// reversePotential is ReversePotential's sweep over c's reverse arrays.
+func (r *Router) reversePotential(c *Snapshot, t NodeID) *Potential {
 	r.growBackward()
-	if c := r.csr(); c != nil {
-		return r.reversePotentialCSR(c, t)
-	}
 	h := make([]float64, r.g.NumNodes())
 	for i := range h {
 		h[i] = math.Inf(1)
@@ -64,28 +66,30 @@ func (r *Router) ReversePotential(t NodeID, w WeightFunc) *Potential {
 		return pot
 	}
 	r.curB++
-	r.heapB = r.heapB[:0]
+	r.h4B = r.h4B[:0]
 	r.setDistB(t, 0, InvalidEdge)
-	r.heapB.push(heapItem{dist: 0, node: t})
-	for len(r.heapB) > 0 {
+	r.h4B.push(heapItem{dist: 0, node: t})
+	disabled := c.disabled
+	for len(r.h4B) > 0 {
 		if r.interrupted() {
 			break // cancelled: unsettled nodes stay +Inf (see SetContext)
 		}
-		it := r.heapB.pop()
+		it := r.h4B.pop()
 		u := it.node
 		if it.dist > r.distB[u] || r.stampB[u] != r.curB {
 			continue
 		}
 		h[u] = it.dist
-		for _, e := range r.g.in[u] {
-			if r.g.disabled[e] {
+		for i, end := c.revOff[u], c.revOff[u+1]; i < end; i++ {
+			e := EdgeID(c.revEdge[i])
+			if disabled[e] {
 				continue
 			}
-			v := r.g.arcs[e].From
-			nd := it.dist + w(e)
+			v := NodeID(c.revFrom[i])
+			nd := it.dist + c.revW[i]
 			if r.stampB[v] != r.curB || nd < r.distB[v] {
 				r.setDistB(v, nd, e)
-				r.heapB.push(heapItem{dist: nd, node: v})
+				r.h4B.push(heapItem{dist: nd, node: v})
 			}
 		}
 	}

@@ -37,9 +37,7 @@ const (
 // SetSpurWorkers sets the number of goroutines KShortest and
 // BestAlternative spread spur searches across. n == 1 forces serial
 // operation; n <= 0 restores the default (GOMAXPROCS capped at 8). The
-// WeightFunc passed to the query must be safe for concurrent calls when
-// more than one worker is active (pure table lookups, as all weight
-// functions in this repository are).
+// workers search the query's snapshot and never call its WeightFunc.
 func (r *Router) SetSpurWorkers(n int) { r.spurWorkers = n }
 
 // spurParallelism returns the worker count for a round with the given
@@ -126,15 +124,14 @@ func (b *spurBound) cutoff() float64 {
 }
 
 // spurRouter returns the i-th pool router, creating and growing it lazily.
-// Pool routers share r's graph and r's frozen snapshot (validated by the
-// coordinator before the fan-out, and immutable while the round runs);
-// everything mutable — bans, scratch, heaps — is per-router.
+// Pool routers share r's graph and search the snapshot the coordinator
+// passes them (validated before the fan-out, and immutable while the
+// round runs); everything mutable — bans, scratch, heaps — is per-router.
 func (r *Router) spurRouter(i int) *Router {
 	for len(r.spurPool) <= i {
 		r.spurPool = append(r.spurPool, NewRouter(r.g))
 	}
 	wr := r.spurPool[i]
-	wr.snap = r.snap
 	wr.grow()
 	return wr
 }
@@ -155,7 +152,8 @@ func (r *Router) KShortest(s, t NodeID, k int, w WeightFunc) []Path {
 	}
 	r.grow()
 	r.clearBans()
-	return r.kShortest(s, t, k, w, r.ReversePotential(t, w))
+	c := r.csr(w)
+	return r.kShortest(c, s, t, k, w, r.reversePotential(c, t))
 }
 
 // KShortestWithPotential is KShortest with a caller-supplied reverse
@@ -172,17 +170,18 @@ func (r *Router) KShortestWithPotential(s, t NodeID, k int, w WeightFunc, pot *P
 	}
 	r.grow()
 	r.clearBans()
+	c := r.csr(w)
 	if pot == nil || pot.Target() != t {
-		pot = r.ReversePotential(t, w)
+		pot = r.reversePotential(c, t)
 	}
-	return r.kShortest(s, t, k, w, pot)
+	return r.kShortest(c, s, t, k, w, pot)
 }
 
 // kShortest is the shared Yen engine behind KShortest and
-// KShortestWithPotential. Bans are already cleared and scratch arrays
-// grown; pot is a valid reverse potential for t under w.
-func (r *Router) kShortest(s, t NodeID, k int, w WeightFunc, pot *Potential) []Path {
-	first, ok := r.shortestAStar(s, t, w, pot, 0, math.Inf(1))
+// KShortestWithPotential, searching c. Bans are already cleared and
+// scratch arrays grown; pot is a valid reverse potential for t under w.
+func (r *Router) kShortest(c *Snapshot, s, t NodeID, k int, w WeightFunc, pot *Potential) []Path {
+	first, ok := r.shortestAStar(c, s, t, pot, 0, math.Inf(1))
 	if !ok {
 		return nil
 	}
@@ -201,7 +200,7 @@ func (r *Router) kShortest(s, t NodeID, k int, w WeightFunc, pot *Potential) []P
 			break // cancelled: return what we have (see SetContext)
 		}
 		last := len(accepted) - 1
-		r.spurCandidates(accepted[last], devs[last], accepted, t, w, pot, seen, &cands, bnd)
+		r.spurCandidates(c, accepted[last], devs[last], accepted, t, w, pot, seen, &cands, bnd)
 		if cands.Len() == 0 {
 			break
 		}
@@ -223,7 +222,8 @@ func (r *Router) kShortest(s, t NodeID, k int, w WeightFunc, pot *Potential) []P
 func (r *Router) BestAlternative(s, t NodeID, w WeightFunc, avoid Path) (Path, bool) {
 	r.grow()
 	r.clearBans()
-	return r.bestAlternative(s, t, w, avoid, r.ReversePotential(t, w))
+	c := r.csr(w)
+	return r.bestAlternative(c, s, t, w, avoid, r.reversePotential(c, t))
 }
 
 // BestAlternativeWithPotential is BestAlternative with a caller-supplied
@@ -237,14 +237,15 @@ func (r *Router) BestAlternative(s, t NodeID, w WeightFunc, avoid Path) (Path, b
 func (r *Router) BestAlternativeWithPotential(s, t NodeID, w WeightFunc, avoid Path, pot *Potential) (Path, bool) {
 	r.grow()
 	r.clearBans()
+	c := r.csr(w)
 	if pot == nil || pot.Target() != t {
-		pot = r.ReversePotential(t, w)
+		pot = r.reversePotential(c, t)
 	}
-	return r.bestAlternative(s, t, w, avoid, pot)
+	return r.bestAlternative(c, s, t, w, avoid, pot)
 }
 
-func (r *Router) bestAlternative(s, t NodeID, w WeightFunc, avoid Path, pot *Potential) (Path, bool) {
-	first, ok := r.shortestAStar(s, t, w, pot, 0, math.Inf(1))
+func (r *Router) bestAlternative(c *Snapshot, s, t NodeID, w WeightFunc, avoid Path, pot *Potential) (Path, bool) {
+	first, ok := r.shortestAStar(c, s, t, pot, 0, math.Inf(1))
 	if !ok {
 		return Path{}, false
 	}
@@ -254,7 +255,7 @@ func (r *Router) bestAlternative(s, t NodeID, w WeightFunc, avoid Path, pot *Pot
 	seen := pathSet{}
 	seen.add(avoid.Edges)
 	var cands candidateHeap
-	r.spurCandidates(avoid, 0, []Path{avoid}, t, w, pot, seen, &cands, nil)
+	r.spurCandidates(c, avoid, 0, []Path{avoid}, t, w, pot, seen, &cands, nil)
 	if cands.Len() == 0 {
 		return Path{}, false
 	}
@@ -280,7 +281,7 @@ func (r *Router) bestAlternative(s, t NodeID, w WeightFunc, avoid Path, pot *Pot
 // whose root length plus the exact distance-to-target of its spur node
 // already exceeds the cutoff is skipped before any ban setup; the rest pass
 // the cutoff down so the A* can abandon itself mid-flight.
-func (r *Router) spurCandidates(base Path, start int, accepted []Path, t NodeID, w WeightFunc, pot *Potential, seen pathSet, cands *candidateHeap, bnd *spurBound) {
+func (r *Router) spurCandidates(c *Snapshot, base Path, start int, accepted []Path, t NodeID, w WeightFunc, pot *Potential, seen pathSet, cands *candidateHeap, bnd *spurBound) {
 	n := len(base.Edges)
 	if start < 0 {
 		start = 0
@@ -290,7 +291,7 @@ func (r *Router) spurCandidates(base Path, start int, accepted []Path, t NodeID,
 		cut = bnd.cutoff()
 	}
 	if workers := r.spurParallelism(n - start); workers > 1 {
-		r.spurCandidatesParallel(base, start, accepted, t, w, pot, seen, cands, bnd, cut, workers)
+		r.spurCandidatesParallel(c, base, start, accepted, t, w, pot, seen, cands, bnd, cut, workers)
 		return
 	}
 	rootLen := 0.0
@@ -302,7 +303,7 @@ func (r *Router) spurCandidates(base Path, start int, accepted []Path, t NodeID,
 			break // cancelled mid-round: candidates so far are still valid
 		}
 		if rootLen+pot.At(base.Nodes[i]) <= cut {
-			if spur, ok := r.spurSearch(base, i, accepted, t, w, pot, rootLen, cut); ok {
+			if spur, ok := r.spurSearch(c, base, i, accepted, t, pot, rootLen, cut); ok {
 				total := concatSpur(base, i, rootLen, spur)
 				if seen.add(total.Edges) {
 					heap.Push(cands, candidate{path: total, dev: i})
@@ -324,7 +325,7 @@ func (r *Router) spurCandidates(base Path, start int, accepted []Path, t NodeID,
 // serially in spur-index order. The cutoff was fixed by the caller before
 // the fan-out, so every worker prunes exactly as the serial loop would and
 // the accepted output is identical to a serial run.
-func (r *Router) spurCandidatesParallel(base Path, start int, accepted []Path, t NodeID, w WeightFunc, pot *Potential, seen pathSet, cands *candidateHeap, bnd *spurBound, cut float64, workers int) {
+func (r *Router) spurCandidatesParallel(c *Snapshot, base Path, start int, accepted []Path, t NodeID, w WeightFunc, pot *Potential, seen pathSet, cands *candidateHeap, bnd *spurBound, cut float64, workers int) {
 	n := len(base.Edges)
 	// prefix[i] is the weight of base's first i edges, summed left to right
 	// exactly as the serial accumulation would, so Lengths are bit-equal.
@@ -348,7 +349,7 @@ func (r *Router) spurCandidatesParallel(base Path, start int, accepted []Path, t
 				if prefix[i]+pot.At(base.Nodes[i]) > cut {
 					continue // same pre-skip as the serial loop
 				}
-				if spur, ok := wr.spurSearch(base, i, accepted, t, w, pot, prefix[i], cut); ok {
+				if spur, ok := wr.spurSearch(c, base, i, accepted, t, pot, prefix[i], cut); ok {
 					spurs[i-start] = spur
 					found[i-start] = true
 				}
@@ -377,7 +378,7 @@ func (r *Router) spurCandidatesParallel(base Path, start int, accepted []Path, t
 // sharing base's root) and runs the goal-directed search from the spur node
 // to t. rootLen and cut feed the candidate-count bound (see spurBound);
 // cut == +Inf disables it.
-func (r *Router) spurSearch(base Path, i int, accepted []Path, t NodeID, w WeightFunc, pot *Potential, rootLen, cut float64) (Path, bool) {
+func (r *Router) spurSearch(c *Snapshot, base Path, i int, accepted []Path, t NodeID, pot *Potential, rootLen, cut float64) (Path, bool) {
 	spurNode := base.Nodes[i]
 	if math.IsInf(pot.At(spurNode), 1) {
 		return Path{}, false // spur node cannot reach t even unbanned
@@ -391,7 +392,7 @@ func (r *Router) spurSearch(base Path, i int, accepted []Path, t NodeID, w Weigh
 	for j := 0; j < i; j++ {
 		r.banNode(base.Nodes[j])
 	}
-	return r.shortestAStar(spurNode, t, w, pot, rootLen, cut)
+	return r.shortestAStar(c, spurNode, t, pot, rootLen, cut)
 }
 
 // samePrefix reports whether p and q share their first i edges.

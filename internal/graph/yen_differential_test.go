@@ -9,8 +9,8 @@ import (
 )
 
 // This file retains the pre-optimization Yen implementation (goal-blind
-// full Dijkstra per spur, no Lawler skip, string-key dedup, sequential) as
-// a test-only reference, and property-checks that the optimized engine
+// textbook Dijkstra per spur, see refShortest; no Lawler skip, string-key
+// dedup, sequential) as a test-only reference, and property-checks that the optimized engine
 // returns the exact same ordered path list — the optimisations must be
 // invisible in the output.
 //
@@ -27,7 +27,7 @@ func yenReference(r *Router, s, t NodeID, k int, w WeightFunc) []Path {
 	}
 	r.grow()
 	r.clearBans()
-	first, ok := r.shortest(s, t, w)
+	first, ok := refShortest(r, s, t, w)
 	if !ok {
 		return nil
 	}
@@ -51,7 +51,7 @@ func yenReference(r *Router, s, t NodeID, k int, w WeightFunc) []Path {
 func refBestAlternative(r *Router, s, t NodeID, w WeightFunc, avoid Path) (Path, bool) {
 	r.grow()
 	r.clearBans()
-	first, ok := r.shortest(s, t, w)
+	first, ok := refShortest(r, s, t, w)
 	if !ok {
 		return Path{}, false
 	}
@@ -84,7 +84,7 @@ func refSpurCandidates(r *Router, base Path, accepted []Path, t NodeID, w Weight
 			r.banNode(base.Nodes[j])
 		}
 
-		if spur, ok := r.shortest(spurNode, t, w); ok {
+		if spur, ok := refShortest(r, spurNode, t, w); ok {
 			total := concatSpur(base, i, rootLen, spur)
 			key := total.Key()
 			if _, dup := seen[key]; !dup {
@@ -310,7 +310,7 @@ func TestKShortestCachedPotentialAfterDisables(t *testing.T) {
 // TestKShortestWithPotentialMatches checks that a caller-supplied reverse
 // potential — the registry's per-hospital cache — is invisible in the
 // output: KShortestWithPotential with a precomputed potential returns the
-// exact path list of KShortest, on the live kernels and on a frozen
+// exact path list of KShortest, freezing per call and on an attached
 // snapshot, and a nil or wrong-target potential degrades to a plain
 // KShortest rather than a wrong answer.
 func TestKShortestWithPotentialMatches(t *testing.T) {
@@ -327,7 +327,7 @@ func TestKShortestWithPotentialMatches(t *testing.T) {
 		pot := NewRouter(g).ReversePotential(tgt, w)
 
 		if err := samePathList(NewRouter(g).KShortestWithPotential(s, tgt, k, w, pot), want); err != nil {
-			t.Logf("seed %d (live, s=%d t=%d k=%d): %v", seed, s, tgt, k, err)
+			t.Logf("seed %d (per-call, s=%d t=%d k=%d): %v", seed, s, tgt, k, err)
 			return false
 		}
 

@@ -15,7 +15,7 @@ import (
 // (x == math.Inf(1), x == inf()) are exempt — infinity is absorbing and
 // exact by construction. _test.go files are exempt wholesale: the test
 // suite's exact comparisons assert the repo's bit-reproducibility
-// contract (frozen-vs-live kernels, resume, cache equivalence).
+// contract (kernels vs textbook references, resume, cache equivalence).
 //
 // Float-ness is inferred without go/types: from float literals,
 // float32/float64 declarations in the enclosing function, float-typed
@@ -42,8 +42,8 @@ func (floatEq) Check(pkg *Package) []Diagnostic {
 	funcs := floatFuncs(pkg)
 	var out []Diagnostic
 	for _, f := range pkg.Files {
-		// Tests assert bit-identical reproducibility on purpose — live vs
-		// frozen kernels, checkpoint resume, cache equivalence — so exact
+		// Tests assert bit-identical reproducibility on purpose — kernels
+		// vs textbook references, checkpoint resume, cache equivalence — so exact
 		// float comparison there is the contract, not a fragility.
 		if strings.HasSuffix(f.Filename, "_test.go") {
 			continue

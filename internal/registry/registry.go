@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 
 	"altroute/internal/graph"
-	"altroute/internal/overlay"
 	"altroute/internal/roadnet"
 )
 
@@ -79,13 +78,10 @@ type Shard struct {
 	// clone creation (read): a clone or frozen artifact produced under
 	// RLock is always consistent with the generation read under the same
 	// RLock.
-	mu       sync.RWMutex
-	snaps    map[roadnet.WeightType]*graph.Snapshot
-	pots     map[potKey]*graph.Potential
-	overlays map[roadnet.WeightType]*overlay.Metric
-	poi      map[graph.NodeID]bool // destinations worth caching potentials for
-
-	opts ShardOptions
+	mu    sync.RWMutex
+	snaps map[roadnet.WeightType]*graph.Snapshot
+	pots  map[potKey]*graph.Potential
+	poi   map[graph.NodeID]bool // destinations worth caching potentials for
 
 	clones  chan pooledClone
 	routers sync.Pool // *graph.Router over the master graph, for read-only queries
@@ -109,25 +105,12 @@ type ShardStats struct {
 	// CSR snapshots took to freeze — how much preload/rebuild work the
 	// shard's read path amortizes.
 	FreezeNS int64 `json:"freeze_ns"`
-	// Overlay observability: zero values when overlays are disabled.
-	OverlayCells           int   `json:"overlay_cells,omitempty"`
-	OverlayBoundary        int   `json:"overlay_boundary,omitempty"`
-	OverlayBuildNS         int64 `json:"overlay_build_ns,omitempty"`
-	OverlayCustomizeNS     int64 `json:"overlay_customize_ns,omitempty"`
-	OverlayCellsRecomputed int64 `json:"overlay_cells_recomputed,omitempty"`
 }
 
 // ShardOptions configures NewShardWithOptions.
 type ShardOptions struct {
 	// PoolSize bounds the clone pool (0 picks a small default).
 	PoolSize int
-	// Overlay enables building a CRP partition-overlay metric per weight
-	// type at preload (and lazily after mutations), served via Overlay()
-	// for the oracle loops' corridor-pruned searches.
-	Overlay bool
-	// OverlayParams tunes the partition; zero values pick the package
-	// defaults.
-	OverlayParams overlay.Params
 }
 
 // NewShard builds a preloaded shard for net under ctx: it freezes one CSR
@@ -140,10 +123,7 @@ func NewShard(ctx context.Context, name string, net *roadnet.Network, poolSize i
 	return NewShardWithOptions(ctx, name, net, ShardOptions{PoolSize: poolSize})
 }
 
-// NewShardWithOptions is NewShard with the full option set: besides the
-// clone pool size it can preload one partition-overlay metric per weight
-// type (opts.Overlay), giving every attack against this shard the
-// corridor-pruned oracle for free.
+// NewShardWithOptions is NewShard with the full option set.
 func NewShardWithOptions(ctx context.Context, name string, net *roadnet.Network, opts ShardOptions) (*Shard, error) {
 	if net == nil {
 		return nil, fmt.Errorf("registry: nil network")
@@ -159,14 +139,12 @@ func NewShardWithOptions(ctx context.Context, name string, net *roadnet.Network,
 		opts.PoolSize = 8
 	}
 	s := &Shard{
-		name:     name,
-		net:      net,
-		snaps:    make(map[roadnet.WeightType]*graph.Snapshot),
-		pots:     make(map[potKey]*graph.Potential),
-		overlays: make(map[roadnet.WeightType]*overlay.Metric),
-		poi:      make(map[graph.NodeID]bool),
-		clones:   make(chan pooledClone, opts.PoolSize),
-		opts:     opts,
+		name:   name,
+		net:    net,
+		snaps:  make(map[roadnet.WeightType]*graph.Snapshot),
+		pots:   make(map[potKey]*graph.Potential),
+		poi:    make(map[graph.NodeID]bool),
+		clones: make(chan pooledClone, opts.PoolSize),
 	}
 	s.routers.New = func() any { return graph.NewRouter(net.Graph()) }
 	for _, p := range net.POIs() {
@@ -182,13 +160,6 @@ func NewShardWithOptions(ctx context.Context, name string, net *roadnet.Network,
 		}
 		snap := net.Snapshot(wt)
 		s.snaps[wt] = snap
-		if opts.Overlay {
-			m, err := s.buildOverlay(ctx, snap)
-			if err != nil {
-				return nil, fmt.Errorf("registry: preloading shard %s: %w", name, err)
-			}
-			s.overlays[wt] = m
-		}
 		for _, p := range net.POIs() {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("registry: preloading shard %s: %w", name, context.Cause(ctx))
@@ -255,49 +226,6 @@ func (s *Shard) Snapshot(wt roadnet.WeightType) *graph.Snapshot {
 	return snap
 }
 
-// buildOverlay partitions snap and computes its clique metric.
-func (s *Shard) buildOverlay(ctx context.Context, snap *graph.Snapshot) (*overlay.Metric, error) {
-	ov, err := overlay.Build(ctx, snap, s.opts.OverlayParams)
-	if err != nil {
-		return nil, err
-	}
-	return overlay.NewMetric(ctx, ov)
-}
-
-// Overlay returns the shard's partition-overlay metric for wt, or nil
-// when overlays are disabled. After a mutation dropped it, the metric is
-// rebuilt lazily on first use (a cancelled rebuild returns nil and the
-// caller falls back to the baseline oracle).
-func (s *Shard) Overlay(ctx context.Context, wt roadnet.WeightType) *overlay.Metric {
-	if !s.opts.Overlay {
-		return nil
-	}
-	s.mu.RLock()
-	m := s.overlays[wt]
-	gen := s.gen.Load()
-	s.mu.RUnlock()
-	if m != nil {
-		return m
-	}
-	snap := s.Snapshot(wt)
-	m, err := s.buildOverlay(ctx, snap)
-	if err != nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cached := s.overlays[wt]; cached != nil {
-		return cached
-	}
-	if s.gen.Load() != gen {
-		// A mutation landed mid-build: the cliques match the old weights.
-		// Drop them; the caller's generation re-check retries.
-		return nil
-	}
-	s.overlays[wt] = m
-	return m
-}
-
 // Potential returns the cached reverse potential for dest under wt, or
 // nil when dest is not a POI destination (ad-hoc destinations compute
 // their potential inside the attack, as before). After a mutation the
@@ -347,7 +275,6 @@ func (s *Shard) SetRoad(e graph.EdgeID, r roadnet.Road) error {
 	s.gen.Add(1)
 	s.snaps = make(map[roadnet.WeightType]*graph.Snapshot)
 	s.pots = make(map[potKey]*graph.Potential)
-	s.overlays = make(map[roadnet.WeightType]*overlay.Metric)
 	for {
 		select {
 		case <-s.clones:
@@ -434,13 +361,6 @@ func (s *Shard) Stats() ShardStats {
 	}
 	for _, snap := range s.snaps {
 		st.FreezeNS += snap.FreezeNanos()
-	}
-	for _, m := range s.overlays {
-		st.OverlayCells += m.Overlay().NumCells()
-		st.OverlayBoundary += m.Overlay().NumBoundary()
-		st.OverlayBuildNS += m.BuildNanos()
-		st.OverlayCustomizeNS += m.CustomizeNanos()
-		st.OverlayCellsRecomputed += m.CellsRecomputed()
 	}
 	s.mu.RUnlock()
 	return st

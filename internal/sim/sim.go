@@ -126,7 +126,10 @@ func Run(cfg Config) (Result, error) {
 	}
 	g := cfg.Net.Graph()
 	w := cfg.Net.Weight(roadnet.WeightTime)
+	// The network's cached snapshot aliases the graph's disabled flags,
+	// so blockages applied mid-run are visible to every re-plan.
 	router := graph.NewRouter(g)
+	router.UseSnapshot(cfg.Net.Snapshot(roadnet.WeightTime))
 
 	for _, v := range cfg.Vehicles {
 		if v.Source < 0 || int(v.Source) >= g.NumNodes() || v.Dest < 0 || int(v.Dest) >= g.NumNodes() {

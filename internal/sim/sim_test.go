@@ -277,3 +277,59 @@ func TestCompareAttackWithForcedRoute(t *testing.T) {
 		t.Errorf("attacked travel time = %v, want p* length %v", attacked.Vehicles[0].TravelTimeS, pstar.Length)
 	}
 }
+
+// TestMidRunBlockageReroutesThroughSnapshot: Run plans on the network's
+// cached snapshot, so a blockage applied after departure reaches the
+// router only through the snapshot's aliased disabled flags. The vehicle
+// must follow its plan up to the blocked edge, re-plan there exactly once
+// onto the best detour, and the snapshot must never be rebuilt.
+func TestMidRunBlockageReroutesThroughSnapshot(t *testing.T) {
+	net, err := citygen.Build(citygen.Chicago, 0.01, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := net.Graph()
+	w := net.Weight(roadnet.WeightTime)
+	snap := net.Snapshot(roadnet.WeightTime)
+	src := graph.NodeID(0)
+	dst := net.POIsOfKind(citygen.KindHospital)[0].Node
+	plan, ok := net.Router().ShortestPath(src, dst, w)
+	if !ok || len(plan.Edges) < 4 {
+		t.Fatalf("free-flow plan %v/%v too short for a mid-run blockage", plan, ok)
+	}
+	k := len(plan.Edges) / 2
+	blocked := plan.Edges[k]
+
+	// Expected: the plan's first k edges, then the best detour from the
+	// blocked edge's tail, computed on a per-call snapshot of the blocked
+	// graph.
+	g.DisableEdge(blocked)
+	detour, ok := graph.NewRouter(g).ShortestPath(plan.Nodes[k], dst, w)
+	g.EnableEdge(blocked)
+	if !ok {
+		t.Fatal("no detour around the blocked edge")
+	}
+	want := 0.0
+	for _, e := range append(append([]graph.EdgeID(nil), plan.Edges[:k]...), detour.Edges...) {
+		want += w(e)
+	}
+
+	res, err := Run(Config{
+		Net:       net,
+		Vehicles:  []Vehicle{{ID: 1, Source: src, Dest: dst}},
+		Blockages: []Blockage{{Edge: blocked, AtS: w(plan.Edges[0]) / 2}}, // while on the first edge
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := res.Vehicles[0]
+	if !v.Arrived || v.Reroutes != 1 || v.Hops != k+len(detour.Edges) || v.TravelTimeS != want {
+		t.Fatalf("vehicle %+v; want arrival after 1 reroute, %d hops, %v s", v, k+len(detour.Edges), want)
+	}
+	if net.Snapshot(roadnet.WeightTime) != snap {
+		t.Fatal("the blockage forced a snapshot rebuild")
+	}
+	if g.EdgeDisabled(blocked) {
+		t.Fatal("Run left the blockage applied")
+	}
+}

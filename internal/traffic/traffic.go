@@ -117,8 +117,13 @@ func AssignIncremental(net *roadnet.Network, demands []Demand, slices int) (Assi
 
 	g := net.Graph()
 	a := Assignment{Volumes: make([]float64, g.NumEdges())}
-	r := graph.NewRouter(g)
 	w := a.Weight(net)
+	// One snapshot per call: loading a path changes only that path's
+	// weights, so Reweight refreshes exactly those edges instead of
+	// re-freezing the whole graph for the next query.
+	snap := graph.Freeze(g, w)
+	r := graph.NewRouter(g)
+	r.UseSnapshot(snap)
 
 	for s := 0; s < slices; s++ {
 		for _, d := range demands {
@@ -134,6 +139,7 @@ func AssignIncremental(net *roadnet.Network, demands []Demand, slices int) (Assi
 			for _, e := range path.Edges {
 				a.Volumes[e] += rate
 			}
+			snap.Reweight(path.Edges)
 		}
 	}
 	return a, nil

@@ -1,8 +1,10 @@
 package traffic
 
 import (
+	"container/heap"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"altroute/internal/citygen"
@@ -231,5 +233,185 @@ func TestAttackUnderCongestedWeights(t *testing.T) {
 	sp, ok := graph.NewRouter(net.Graph()).ShortestPath(src, h.Node, w)
 	if !ok || !sp.SameEdges(pstar) {
 		t.Fatalf("p* not exclusive under congested weights")
+	}
+}
+
+// refAssign is AssignIncremental with weights evaluated at relaxation
+// time: every slice of every demand runs a textbook Dijkstra (binary heap
+// in (distance, node) order, out-edges in insertion order, stop when the
+// destination pops) that calls the congested weight function on each
+// edge it relaxes, so no weight is ever cached between paths.
+func refAssign(net *roadnet.Network, demands []Demand, slices int) Assignment {
+	g := net.Graph()
+	a := Assignment{Volumes: make([]float64, g.NumEdges())}
+	w := a.Weight(net)
+	for s := 0; s < slices; s++ {
+		for _, d := range demands {
+			rate := d.VehiclesPerHour / float64(slices)
+			if rate == 0 {
+				continue
+			}
+			edges, ok := refDijkstra(g, d.Source, d.Dest, w)
+			if !ok {
+				a.Unrouted += rate
+				continue
+			}
+			for _, e := range edges {
+				a.Volumes[e] += rate
+			}
+		}
+	}
+	return a
+}
+
+type refItem struct {
+	dist float64
+	node graph.NodeID
+}
+
+type refHeap []refItem
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].dist != h[j].dist {
+		return h[i].dist < h[j].dist
+	}
+	return h[i].node < h[j].node
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refItem)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+func refDijkstra(g *graph.Graph, s, t graph.NodeID, w graph.WeightFunc) ([]graph.EdgeID, bool) {
+	dist := make([]float64, g.NumNodes())
+	prev := make([]graph.EdgeID, g.NumNodes())
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[s] = 0
+	h := &refHeap{{dist: 0, node: s}}
+	for h.Len() > 0 {
+		it := heap.Pop(h).(refItem)
+		u := it.node
+		if it.dist > dist[u] {
+			continue
+		}
+		if u == t {
+			var edges []graph.EdgeID
+			for n := t; n != s; n = g.From(prev[n]) {
+				edges = append([]graph.EdgeID{prev[n]}, edges...)
+			}
+			return edges, true
+		}
+		for _, e := range g.OutEdges(u) {
+			if g.EdgeDisabled(e) {
+				continue
+			}
+			v := g.To(e)
+			if nd := it.dist + w(e); nd < dist[v] {
+				dist[v], prev[v] = nd, e
+				heap.Push(h, refItem{dist: nd, node: v})
+			}
+		}
+	}
+	return nil, false
+}
+
+// uniformGrid is the tie-heavy lattice: identical two-way single-lane
+// roads on an exact rows x cols grid, so equal-hop routes tie exactly at
+// every congestion level.
+func uniformGrid(t *testing.T, rows, cols int) *roadnet.Network {
+	t.Helper()
+	n := roadnet.NewNetwork("uniform-grid")
+	id := make([]graph.NodeID, rows*cols)
+	for i := range id {
+		id[i] = n.AddIntersection(geo.Point{Lat: 42 + 0.001*float64(i/cols), Lon: -71 + 0.001*float64(i%cols)})
+	}
+	road := roadnet.Road{LengthM: 100, SpeedMS: 10, Lanes: 1}
+	for i := range id {
+		for _, j := range []int{i + 1, i + cols} {
+			if (j == i+1 && j%cols == 0) || j >= len(id) {
+				continue
+			}
+			if _, _, err := n.AddTwoWayRoad(id[i], id[j], road); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return n
+}
+
+// TestAssignIncrementalMatchesRelaxationTimeReference: the snapshot
+// assignment (one Freeze per call, Reweight after each loaded path) must
+// be bit-identical to refAssign on a tie-heavy lattice, a lattice city
+// and an organic city, on the intact network and with a cut applied.
+func TestAssignIncrementalMatchesRelaxationTimeReference(t *testing.T) {
+	chicago, err := citygen.Build(citygen.Chicago, 0.01, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boston, err := citygen.Build(citygen.Boston, 0.01, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, net := range []*roadnet.Network{uniformGrid(t, 8, 9), chicago, boston} {
+		g := net.Graph()
+		rng := rand.New(rand.NewSource(int64(g.NumEdges())))
+		var demands []Demand
+		for i := 0; i < 12; i++ {
+			demands = append(demands, Demand{
+				Source:          graph.NodeID(rng.Intn(g.NumNodes())),
+				Dest:            graph.NodeID(rng.Intn(g.NumNodes())),
+				VehiclesPerHour: 500 + 2000*rng.Float64(),
+			})
+		}
+		// The cut: the first edge of three demands' free-flow routes, so
+		// traffic must divert, plus a seeded scatter of other edges.
+		var cut []graph.EdgeID
+		for _, d := range demands[:3] {
+			if p, ok := net.Router().ShortestPath(d.Source, d.Dest, net.Weight(roadnet.WeightTime)); ok && len(p.Edges) > 0 {
+				cut = append(cut, p.Edges[0])
+			}
+		}
+		for e := 0; e < g.NumEdges(); e++ {
+			if rng.Intn(40) == 0 {
+				cut = append(cut, graph.EdgeID(e))
+			}
+		}
+		for _, cutName := range []string{"intact", "cut"} {
+			tx := g.Begin()
+			if cutName == "cut" {
+				for _, e := range cut {
+					tx.Disable(e)
+				}
+			}
+			got, err := AssignIncremental(net, demands, 6)
+			want := refAssign(net, demands, 6)
+			tx.Rollback()
+			if err != nil {
+				t.Fatalf("%s %s: %v", net.Name(), cutName, err)
+			}
+			if got.Unrouted != want.Unrouted {
+				t.Errorf("%s %s: unrouted %v, reference %v", net.Name(), cutName, got.Unrouted, want.Unrouted)
+			}
+			loaded := 0
+			for e := range want.Volumes {
+				if got.Volumes[e] != want.Volumes[e] {
+					t.Fatalf("%s %s: edge %d volume %v, reference %v (bit-identical required)",
+						net.Name(), cutName, e, got.Volumes[e], want.Volumes[e])
+				}
+				if want.Volumes[e] > 0 {
+					loaded++
+				}
+			}
+			if loaded == 0 {
+				t.Fatalf("%s %s: no edge carries traffic; the comparison is vacuous", net.Name(), cutName)
+			}
+		}
 	}
 }
