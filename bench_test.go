@@ -27,7 +27,6 @@ import (
 	"altroute/internal/experiment"
 	"altroute/internal/graph"
 	"altroute/internal/metrics"
-	"altroute/internal/overlay"
 	"altroute/internal/roadnet"
 	"altroute/internal/traffic"
 )
@@ -623,117 +622,13 @@ func BenchmarkMultiVictim(b *testing.B) {
 	}
 }
 
-// BenchmarkPointToPointOverlay compares the partition-overlay query layer
-// against the frozen CSR kernel it replicates, on the BenchmarkDijkstraCSR
-// city. "warm" amortizes one target's labels across queries (how the
-// oracle uses it); "cold" cycles destinations so nearly every query pays
-// the label build (the base-state label cache holds only a few dozen
-// targets). All three produce bit-identical paths (see
-// internal/overlay/overlay_differential_test.go) — only the work per
-// query differs.
-func BenchmarkPointToPointOverlay(b *testing.B) {
-	net := benchNetwork(b, citygen.Chicago)
-	w := net.Weight(roadnet.WeightTime)
-	snap := net.Snapshot(roadnet.WeightTime)
-	h := net.POIsOfKind(citygen.KindHospital)[0]
-	n := net.NumIntersections()
-
-	b.Run("csr", func(b *testing.B) {
-		r := altroute.NewRouter(net.Graph())
-		r.UseSnapshot(snap)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.ShortestPath(altroute.NodeID(i%n), h.Node, w)
-		}
-	})
-
-	ov, err := overlay.Build(context.Background(), snap, overlay.Params{Seed: benchSeed})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := overlay.NewMetric(context.Background(), ov)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("overlay-warm", func(b *testing.B) {
-		q := overlay.NewQuerier(m)
-		tl := q.BuildTargetLabels(h.Node)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q.QueryTo(altroute.NodeID(i%n), tl)
-		}
-	})
-	b.Run("overlay-cold", func(b *testing.B) {
-		q := overlay.NewQuerier(m)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q.Query(altroute.NodeID(i%n), altroute.NodeID((i*613+1)%n))
-		}
-	})
-}
-
-// BenchmarkCustomizeAfterCut measures single-cut metric customization:
-// each op toggles one interior edge and eagerly recomputes the one
-// affected cell's clique. build_ns is the full from-scratch overlay
-// metric build for comparison; pct_of_build is the measured per-op cost
-// as a percentage of it (the acceptance bound is <=10%).
-func BenchmarkCustomizeAfterCut(b *testing.B) {
-	net := benchNetwork(b, citygen.Chicago)
-	g := net.Graph()
-	snap := net.Snapshot(roadnet.WeightTime)
-	ov, err := overlay.Build(context.Background(), snap, overlay.Params{Seed: benchSeed})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := overlay.NewMetric(context.Background(), ov)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cut := altroute.EdgeID(-1)
-	for e := 0; e < snap.NumEdges(); e++ {
-		if a := g.Arc(altroute.EdgeID(e)); ov.Cell(a.From) == ov.Cell(a.To) {
-			cut = altroute.EdgeID(e)
-			break
-		}
-	}
-	if cut < 0 {
-		b.Skip("no interior edge")
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			g.DisableEdge(cut)
-		} else {
-			g.EnableEdge(cut)
-		}
-		if recomputed := m.Customize(ctx, cut); recomputed != 1 {
-			b.Fatalf("customize recomputed %d cells, want 1", recomputed)
-		}
-	}
-	b.StopTimer()
-	if b.N%2 == 1 { // loop ended on a disable: restore the shared city
-		g.EnableEdge(cut)
-		m.Customize(ctx, cut)
-	}
-	build := float64(m.BuildNanos())
-	b.ReportMetric(build, "build_ns")
-	if build > 0 && b.N > 0 {
-		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		b.ReportMetric(100*perOp/build, "pct_of_build")
-	}
-}
-
-// BenchmarkOracleLoop is the attack-side before/after pair for the
-// overlay: a full GreedyEdge attack against a rank-200 p* (the paper's
-// doubled rank) on the bench city, with the oracle running on the frozen
-// CSR kernels (csr) versus the partition overlay with cut-repairable
-// customization (overlay). Both produce identical Results — the overlay
-// replaces per-round full Dijkstra/A* sweeps with corridor searches
-// against cached target labels.
+// BenchmarkOracleLoop times a full GreedyEdge attack against a rank-200
+// p* (the paper's doubled rank) on the bench city: every round is one
+// bounded exclusivity query on the network's attached snapshot. csr
+// takes its reverse potential per attack, as a one-off caller does;
+// potential passes a cached one through Problem.Potential, as the
+// experiment runner and the attack service do. Both produce identical
+// Results.
 func BenchmarkOracleLoop(b *testing.B) {
 	net := benchNetwork(b, citygen.Chicago)
 	w := net.Weight(roadnet.WeightTime)
@@ -752,34 +647,22 @@ func BenchmarkOracleLoop(b *testing.B) {
 		G: net.Graph(), Source: src, Dest: h.Node, PStar: pstar,
 		Weight: w, Cost: cost, Snapshot: snap,
 	}
+	cached := base
+	cached.Potential = r.ReversePotential(h.Node, w)
 
-	b.Run("csr", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(core.AlgGreedyEdge, base, core.Options{Seed: benchSeed}); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		p    core.Problem
+	}{{"csr", base}, {"potential", cached}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Run(core.AlgGreedyEdge, c.p, core.Options{Seed: benchSeed}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("overlay", func(b *testing.B) {
-		ov, err := overlay.Build(context.Background(), snap, overlay.Params{Seed: benchSeed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := overlay.NewMetric(context.Background(), ov)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := base
-		p.Overlay = m
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(core.AlgGreedyEdge, p, core.Options{Seed: benchSeed}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkIsolateHospitalArea measures the min-cut area isolation attack.

@@ -34,7 +34,6 @@ import (
 	"math"
 
 	"altroute/internal/graph"
-	"altroute/internal/overlay"
 	"altroute/internal/roadnet"
 )
 
@@ -96,23 +95,13 @@ type Problem struct {
 	// Potential optionally carries a cached reverse potential for Dest
 	// under Weight (graph.ReversePotential), computed on a graph state
 	// whose enabled-edge set contained every edge currently enabled — in
-	// practice, the intact network (the city-shard registry keeps one per
-	// hospital destination). When nil or targeting a different node, the
-	// algorithms run their own reverse Dijkstra, exactly as before; when
-	// supplied, its table is bit-identical to what that Dijkstra would
-	// produce, so results are unchanged.
+	// practice, the intact network (the city-shard registry and the
+	// experiment runner keep one per hospital destination). When nil or
+	// targeting a different node, the algorithms run their own reverse
+	// Dijkstra, exactly as before; when supplied, its table is
+	// bit-identical to what that Dijkstra would produce, so results are
+	// unchanged.
 	Potential *graph.Potential
-	// Overlay optionally carries a CRP partition-overlay metric built over
-	// a snapshot of G under Weight (overlay.Build + overlay.NewMetric).
-	// When set and still valid, the oracle loops run their exclusivity
-	// checks through corridor-pruned overlay searches instead of unbounded
-	// A* spur searches, and report each cut to the metric so its cliques
-	// are repaired (per affected cell, coalesced) before the next clique
-	// read. Verdicts and witness lengths are identical to the baseline
-	// oracle; witness edges match except on exact float-length ties (see
-	// overlay.Querier.Violating). Nil, foreign, or stale overlays fall
-	// back to the baseline oracle silently.
-	Overlay *overlay.Metric
 }
 
 // router returns a context-attached Router running on the problem's frozen
@@ -196,22 +185,17 @@ func (p *Problem) validate() error {
 
 // violating returns a live s->d path, different from p*, whose length does
 // not exceed p*'s (i.e. a witness that p* is not yet the exclusive shortest
-// path), under the graph's current disabled-edge state.
+// path), under the graph's current disabled-edge state. It is the one
+// exclusivity oracle every attack loop calls once per round: a deviation
+// round over p* bounded by the tie threshold, so spur searches that cannot
+// come back under it are skipped or abandoned (graph.BestAlternativeWithin).
 //
 // pot is an optional cached reverse potential for p.Dest under p.Weight
-// (nil: computed per call). The attack loops compute it once on the
+// (nil: computed per call). The attack loops take it once on the
 // unmodified graph and reuse it across every oracle round: candidate cuts
-// only disable edges, which keeps the potential admissible (see
-// graph.BestAlternativeWithPotential).
+// only disable edges, which keeps the potential admissible.
 func (p *Problem) violating(r *graph.Router, pot *graph.Potential) (graph.Path, bool) {
-	alt, ok := r.BestAlternativeWithPotential(p.Source, p.Dest, p.Weight, p.PStar, pot)
-	if !ok {
-		return graph.Path{}, false
-	}
-	if alt.Length <= p.PStar.Length+p.tieEps() {
-		return alt, true
-	}
-	return graph.Path{}, false
+	return r.BestAlternativeWithin(p.Source, p.Dest, p.Weight, p.PStar, pot, p.PStar.Length+p.tieEps())
 }
 
 // IsExclusiveShortest reports whether p* is currently the strictly shortest

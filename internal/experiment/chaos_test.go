@@ -3,12 +3,15 @@ package experiment
 import (
 	"context"
 	"errors"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"altroute/internal/citygen"
 	"altroute/internal/core"
 	"altroute/internal/faultinject"
+	"altroute/internal/graph"
 	"altroute/internal/roadnet"
 )
 
@@ -144,5 +147,88 @@ func TestRunTableInterruptedReturnsPartialTable(t *testing.T) {
 	}
 	if len(table.Cells) == 0 {
 		t.Error("parallel partial table empty")
+	}
+}
+
+// dyingCtx is a context that reports itself cancelled from its n-th Err
+// call on, so a test can kill a run inside a specific loop.
+type dyingCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newDyingCtx(n int64) *dyingCtx {
+	c := &dyingCtx{Context: context.Background()}
+	c.left.Store(n)
+	return c
+}
+
+func (c *dyingCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunTableInterruptedDuringPotentialPrecompute kills the run inside
+// the runners' per-destination reverse-potential sweep, before the first
+// cell. A sweep cut short leaves +Inf entries that an attack would read
+// as "no violation", so the set must be discarded and both runners must
+// report ErrInterrupted without attacking or journaling a single unit.
+func TestRunTableInterruptedDuringPotentialPrecompute(t *testing.T) {
+	net, spec := buildSmall(t)
+	spec.Algorithms = []core.Algorithm{core.AlgGreedyEdge}
+	units, err := SampleUnits(net, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := net.Snapshot(spec.WeightType)
+	w := net.Weight(spec.WeightType)
+	if pots := destPotentials(newDyingCtx(5), net.Graph(), snap, w, units); pots != nil {
+		t.Fatalf("precompute under a dying context returned %d potentials, want none", len(pots))
+	}
+	pots := destPotentials(context.Background(), net.Graph(), snap, w, units)
+	r := graph.NewRouter(net.Graph())
+	for _, u := range units {
+		want := r.ReversePotential(u.Dest, w)
+		for v := 0; v < net.NumIntersections(); v++ {
+			if got := pots[u.Dest].At(graph.NodeID(v)); got != want.At(graph.NodeID(v)) {
+				t.Fatalf("potential for %d at node %d = %v, want %v", u.Dest, v, got, want.At(graph.NodeID(v)))
+			}
+		}
+	}
+
+	runners := map[string]func(context.Context, Spec) (Table, error){
+		"serial": func(ctx context.Context, spec Spec) (Table, error) {
+			return RunTableOnUnitsCtx(ctx, net, units, spec)
+		},
+		"parallel": func(ctx context.Context, spec Spec) (Table, error) {
+			return RunTableOnUnitsParallelCtx(ctx, net, units, spec, 2)
+		},
+	}
+	for _, name := range []string{"serial", "parallel"} {
+		ckpt, err := OpenCheckpoint(filepath.Join(t.TempDir(), "run.ckpt"), testHeader())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := spec
+		s.Checkpoint = ckpt
+		var attacked atomic.Int64
+		s.Audit = func(Record) { attacked.Add(1) }
+		_, err = runners[name](newDyingCtx(5), s)
+		if !errors.Is(err, ErrInterrupted) {
+			t.Errorf("%s: err = %v, want ErrInterrupted", name, err)
+		}
+		if n := attacked.Load(); n != 0 {
+			t.Errorf("%s: %d units attacked after the precompute died", name, n)
+		}
+		for _, ct := range s.CostTypes {
+			for i := range units {
+				if _, ok := ckpt.Lookup(net.Name(), s.WeightType.String(), core.AlgGreedyEdge.String(), ct.String(), i); ok {
+					t.Errorf("%s: unit %d (%s) journaled after the precompute died", name, i, ct)
+				}
+			}
+		}
+		ckpt.Close()
 	}
 }

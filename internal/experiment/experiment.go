@@ -24,7 +24,6 @@ import (
 	"altroute/internal/faultinject"
 	"altroute/internal/graph"
 	"altroute/internal/metrics"
-	"altroute/internal/overlay"
 	"altroute/internal/roadnet"
 )
 
@@ -56,13 +55,6 @@ type Spec struct {
 	Budget float64
 	// Options tunes the attack algorithms.
 	Options core.Options
-	// UseOverlay builds one CRP partition-overlay metric per runner (per
-	// worker in the parallel runner, each over its own clone's snapshot)
-	// and routes every attack's oracle rounds through corridor-pruned
-	// overlay searches. Results are identical to the baseline oracle
-	// (witness edges can differ only on exact float-length ties; see
-	// overlay.Querier.Violating).
-	UseOverlay bool
 	// Checkpoint, when non-nil, journals every completed (algorithm, cost
 	// type, unit) attack and replays journaled results instead of
 	// recomputing them, so an interrupted run resumes where it stopped.
@@ -303,7 +295,7 @@ func RunTableOnUnitsCtx(ctx context.Context, net *roadnet.Network, units []Unit,
 	// One frozen snapshot serves every cell and unit of the run: attacks
 	// only toggle disabled flags, which the snapshot observes live.
 	snap := net.Snapshot(spec.WeightType)
-	metric := buildMetric(ctx, snap, spec)
+	pots := destPotentials(ctx, net.Graph(), snap, w, units)
 	table := Table{
 		City:       net.Name(),
 		WeightType: spec.WeightType,
@@ -312,7 +304,7 @@ func RunTableOnUnitsCtx(ctx context.Context, net *roadnet.Network, units []Unit,
 	}
 	for _, alg := range spec.Algorithms {
 		for _, ct := range spec.CostTypes {
-			cell, err := runCell(ctx, net.Graph(), snap, metric, w, net.Cost(ct), table.City, alg, ct, units, spec)
+			cell, err := runCell(ctx, net.Graph(), snap, pots, w, net.Cost(ct), table.City, alg, ct, units, spec)
 			table.Cells = append(table.Cells, cell)
 			if err != nil {
 				return table, err
@@ -327,7 +319,7 @@ func RunTableOnUnitsCtx(ctx context.Context, net *roadnet.Network, units []Unit,
 // found in spec.Checkpoint are replayed instead of recomputed; freshly
 // computed units are journaled. A dead ctx stops the loop: the partial cell
 // is returned with ErrInterrupted wrapping the context's cause.
-func runCell(ctx context.Context, g *graph.Graph, snap *graph.Snapshot, metric *overlay.Metric, w, cost graph.WeightFunc, city string, alg core.Algorithm, ct roadnet.CostType, units []Unit, spec Spec) (Cell, error) {
+func runCell(ctx context.Context, g *graph.Graph, snap *graph.Snapshot, pots map[graph.NodeID]*graph.Potential, w, cost graph.WeightFunc, city string, alg core.Algorithm, ct roadnet.CostType, units []Unit, spec Spec) (Cell, error) {
 	cell := Cell{Algorithm: alg, CostType: ct}
 	wt := spec.WeightType.String()
 	interrupted := func() (Cell, error) {
@@ -343,15 +335,15 @@ func runCell(ctx context.Context, g *graph.Graph, snap *graph.Snapshot, metric *
 			return interrupted()
 		}
 		p := core.Problem{
-			G:        g,
-			Source:   u.Source,
-			Dest:     u.Dest,
-			PStar:    u.PStar,
-			Weight:   w,
-			Cost:     cost,
-			Budget:   spec.Budget,
-			Snapshot: snap,
-			Overlay:  metric,
+			G:         g,
+			Source:    u.Source,
+			Dest:      u.Dest,
+			PStar:     u.PStar,
+			Weight:    w,
+			Cost:      cost,
+			Budget:    spec.Budget,
+			Snapshot:  snap,
+			Potential: pots[u.Dest],
 		}
 		opts := spec.Options
 		opts.Seed = spec.Seed
@@ -388,22 +380,30 @@ func runCell(ctx context.Context, g *graph.Graph, snap *graph.Snapshot, metric *
 	return cell, nil
 }
 
-// buildMetric prepares the overlay metric for one runner's snapshot when
-// the spec asks for it. A cancelled build returns nil — the attacks fall
-// back to the baseline oracle and surface the dead context themselves.
-func buildMetric(ctx context.Context, snap *graph.Snapshot, spec Spec) *overlay.Metric {
-	if !spec.UseOverlay {
+// destPotentials computes one reverse potential per distinct unit
+// destination on snap, before the first cell, for every attack of the run
+// to share read-only through core.Problem.Potential. The run starts on the
+// intact network and every attack rolls its cuts back, so each table stays
+// admissible for every attack (see graph.Potential).
+//
+// A sweep cut short by a dead ctx leaves +Inf entries, which an attack
+// would read as "no violation". So a dead ctx discards the whole set and
+// returns nil: the attacks then take their own potentials, and the cell
+// loop reports ErrInterrupted before the first unit it would attack.
+func destPotentials(ctx context.Context, g *graph.Graph, snap *graph.Snapshot, w graph.WeightFunc, units []Unit) map[graph.NodeID]*graph.Potential {
+	r := graph.NewRouter(g)
+	r.UseSnapshot(snap)
+	r.SetContext(ctx)
+	pots := make(map[graph.NodeID]*graph.Potential)
+	for _, u := range units {
+		if _, ok := pots[u.Dest]; !ok {
+			pots[u.Dest] = r.ReversePotential(u.Dest, w)
+		}
+	}
+	if ctx.Err() != nil {
 		return nil
 	}
-	ov, err := overlay.Build(ctx, snap, overlay.Params{Seed: spec.Seed})
-	if err != nil {
-		return nil
-	}
-	m, err := overlay.NewMetric(ctx, ov)
-	if err != nil {
-		return nil
-	}
-	return m
+	return pots
 }
 
 // attackUnit runs one attack, recovering panics that escape core.RunCtx's

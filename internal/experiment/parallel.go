@@ -53,6 +53,10 @@ func RunTableOnUnitsParallelCtx(ctx context.Context, net *roadnet.Network, units
 		workers = len(jobs)
 	}
 
+	// Computed once on the shared network's intact snapshot: a Potential
+	// is a read-only node-indexed table, valid on every worker's clone.
+	pots := destPotentials(ctx, net.Graph(), net.Snapshot(spec.WeightType), net.Weight(spec.WeightType), units)
+
 	results := make([]Cell, len(jobs))
 	cellErrs := make([]error, len(jobs))
 	jobCh := make(chan cellJob)
@@ -62,20 +66,17 @@ func RunTableOnUnitsParallelCtx(ctx context.Context, net *roadnet.Network, units
 		go func() {
 			defer wg.Done()
 			local := net.Clone()
-			// Weight and cost functions — and the frozen snapshot and
-			// overlay metric — are derived once per worker, not per job or
-			// per unit: jobs repeat the same few cost types on the same
-			// cloned graph. Each worker owns its metric (built over its own
-			// clone's snapshot), so customization never races across workers.
+			// Weight and cost functions — and the frozen snapshot — are
+			// derived once per worker, not per job or per unit: jobs repeat
+			// the same few cost types on the same cloned graph.
 			weight := local.Weight(spec.WeightType)
 			snap := local.Snapshot(spec.WeightType)
-			metric := buildMetric(ctx, snap, spec)
 			costs := make(map[roadnet.CostType]graph.WeightFunc, len(spec.CostTypes))
 			for _, ct := range spec.CostTypes {
 				costs[ct] = local.Cost(ct)
 			}
 			for job := range jobCh {
-				cell, err := runCell(ctx, local.Graph(), snap, metric, weight, costs[job.ct], net.Name(), job.alg, job.ct, units, spec)
+				cell, err := runCell(ctx, local.Graph(), snap, pots, weight, costs[job.ct], net.Name(), job.alg, job.ct, units, spec)
 				results[job.idx] = cell
 				cellErrs[job.idx] = err
 			}

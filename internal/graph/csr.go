@@ -66,7 +66,7 @@ type Snapshot struct {
 	revSlot []int32
 
 	// freezeNS is the wall-clock duration of the Freeze pass, surfaced in
-	// registry shard stats next to overlay build/customize timings.
+	// registry shard stats.
 	freezeNS int64
 }
 
@@ -143,22 +143,18 @@ func (c *Snapshot) NumEdges() int { return c.m }
 // Weight returns the materialized weight of edge e.
 func (c *Snapshot) Weight(e EdgeID) float64 { return c.w[e] }
 
-// CSRView exposes a snapshot's flat CSR arrays to sibling packages that
-// build derived read-only structures over them (internal/overlay). Every
-// slice aliases the snapshot's backing arrays: callers MUST treat them as
-// immutable. Disabled aliases the graph's live disabled flags, exactly as
-// the kernels see them.
+// CSRView exposes the snapshot's flat CSR arrays that the partition
+// build in internal/overlay reads. Every slice aliases the snapshot's
+// backing arrays: callers MUST treat them as immutable. Disabled aliases
+// the graph's live disabled flags, exactly as the kernels see them.
 type CSRView struct {
-	N, M    int
+	N       int
 	FwdOff  []int32
 	FwdTo   []int32
 	FwdEdge []int32
 	FwdW    []float64
 	RevOff  []int32
 	RevFrom []int32
-	RevEdge []int32
-	RevW    []float64
-	W       []float64
 
 	Disabled []bool
 }
@@ -166,10 +162,9 @@ type CSRView struct {
 // View returns the read-only CSR view of the snapshot.
 func (c *Snapshot) View() CSRView {
 	return CSRView{
-		N: c.n, M: c.m,
+		N:      c.n,
 		FwdOff: c.fwdOff, FwdTo: c.fwdTo, FwdEdge: c.fwdEdge, FwdW: c.fwdW,
-		RevOff: c.revOff, RevFrom: c.revFrom, RevEdge: c.revEdge, RevW: c.revW,
-		W:        c.w,
+		RevOff: c.revOff, RevFrom: c.revFrom,
 		Disabled: c.disabled,
 	}
 }

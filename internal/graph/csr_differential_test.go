@@ -218,8 +218,8 @@ func TestYenMatchesReferenceBothModes(t *testing.T) {
 				}
 			}
 			wantAlt, wantOK := refBestAlternative(NewRouter(tc.g), s, tgt, tc.w, ref[0])
-			gotAlt, gotOK := froz.BestAlternativeWithPotential(s, tgt, tc.w, ref[0], pot)
-			perCallAlt, perCallOK := NewRouter(tc.g).BestAlternativeWithPotential(s, tgt, tc.w, ref[0], pot)
+			gotAlt, gotOK := froz.BestAlternativeWithin(s, tgt, tc.w, ref[0], pot, math.Inf(1))
+			perCallAlt, perCallOK := NewRouter(tc.g).BestAlternativeWithin(s, tgt, tc.w, ref[0], pot, math.Inf(1))
 			tx.Rollback()
 			ok := samePath(perCallAlt, gotAlt, perCallOK, gotOK)
 			if tied {

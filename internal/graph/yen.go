@@ -17,10 +17,11 @@ import (
 //  2. Lawler's deviation-index skip: spur enumeration for an accepted path
 //     starts at the index where it deviated from its parent; deviations
 //     before that index were already generated during the parent's round.
-//  3. Parallel spur fan-out: within a round, spur searches are distributed
-//     over a pool of per-goroutine Routers sharing the read-only graph
-//     (bans and scratch arrays are router-local). Results are merged
-//     serially in spur-index order, so output is identical to a serial run.
+//  3. Parallel spur fan-out (KShortest only): within a round, spur
+//     searches are distributed over a pool of per-goroutine Routers
+//     sharing the read-only graph (bans and scratch arrays are
+//     router-local). Results are merged serially in spur-index order, so
+//     output is identical to a serial run.
 //  4. Candidate-count bound: once k-1 candidates at or below length X have
 //     ever been generated, no candidate strictly longer than X can still be
 //     accepted, so spur searches provably above X are skipped outright or
@@ -34,10 +35,11 @@ const (
 	minParallelSpurs = 4
 )
 
-// SetSpurWorkers sets the number of goroutines KShortest and
-// BestAlternative spread spur searches across. n == 1 forces serial
-// operation; n <= 0 restores the default (GOMAXPROCS capped at 8). The
-// workers search the query's snapshot and never call its WeightFunc.
+// SetSpurWorkers sets the number of goroutines KShortest spreads spur
+// searches across. n == 1 forces serial operation; n <= 0 restores the
+// default (GOMAXPROCS capped at 8). The workers search the query's
+// snapshot and never call its WeightFunc. The BestAlternative oracles
+// always run their single deviation round serially.
 func (r *Router) SetSpurWorkers(n int) { r.spurWorkers = n }
 
 // spurParallelism returns the worker count for a round with the given
@@ -200,7 +202,13 @@ func (r *Router) kShortest(c *Snapshot, s, t NodeID, k int, w WeightFunc, pot *P
 			break // cancelled: return what we have (see SetContext)
 		}
 		last := len(accepted) - 1
-		r.spurCandidates(c, accepted[last], devs[last], accepted, t, w, pot, seen, &cands, bnd)
+		base, start := accepted[last], devs[last]
+		cut := bnd.cutoff()
+		if workers := r.spurParallelism(len(base.Edges) - start); workers > 1 {
+			r.spurCandidatesParallel(c, base, start, accepted, t, w, pot, seen, &cands, bnd, cut, workers)
+		} else {
+			r.spurCandidates(c, base, start, accepted, t, w, pot, seen, &cands, bnd, cut)
+		}
 		if cands.Len() == 0 {
 			break
 		}
@@ -217,35 +225,59 @@ func (r *Router) kShortest(c *Snapshot, s, t NodeID, k int, w WeightFunc, pot *P
 // otherwise a single Yen deviation round over avoid finds the best
 // second path.
 //
-// This is the attack algorithms' exclusivity oracle: p* is the exclusive
-// shortest path iff BestAlternative(s, t, w, p*) has Length > p*.Length.
+// p* is the exclusive shortest path iff BestAlternative(s, t, w, p*) has
+// Length > p*.Length. The attack loops ask that question through the
+// bounded BestAlternativeWithin; this unbounded form is its reference.
 func (r *Router) BestAlternative(s, t NodeID, w WeightFunc, avoid Path) (Path, bool) {
 	r.grow()
 	r.clearBans()
 	c := r.csr(w)
-	return r.bestAlternative(c, s, t, w, avoid, r.reversePotential(c, t))
+	return r.bestAlternative(c, s, t, w, avoid, r.reversePotential(c, t), math.Inf(1))
 }
 
-// BestAlternativeWithPotential is BestAlternative with a caller-supplied
-// reverse potential, for callers that issue many oracle queries against the
-// same target. pot must come from ReversePotential(t, w) on this graph in a
-// state whose enabled-edge set contained every currently enabled edge —
-// edges may have been disabled since it was computed, but not enabled. The
-// attack loops exploit exactly this: they compute the potential once on the
-// unmodified graph and reuse it while candidate cuts are applied, because
-// cuts only disable edges. A nil or mismatched-target pot is recomputed.
-func (r *Router) BestAlternativeWithPotential(s, t NodeID, w WeightFunc, avoid Path, pot *Potential) (Path, bool) {
+// BestAlternativeWithin is the attack loops' exclusivity oracle:
+// BestAlternative bounded by limit. It returns exactly the path
+// BestAlternative would return when that path's Length is at most limit,
+// and (Path{}, false) otherwise. The bound prunes the search: the first
+// query and every spur search of the deviation round are skipped or
+// abandoned as soon as they provably cannot finish at or below limit.
+// The pruning threshold carries the same 1e-9 relative slack as the
+// candidate-count bound (see spurBound), so a float-ulp gap between a
+// frontier value and a materialized path length never prunes a path at
+// exactly limit; the final Length <= limit test is exact.
+//
+// pot must come from ReversePotential(t, w) on this graph in a state
+// whose enabled-edge set contained every currently enabled edge — edges
+// may have been disabled since it was computed, but not enabled. The
+// attack loops exploit exactly this: they take the potential computed on
+// the unmodified graph and reuse it while candidate cuts are applied,
+// because cuts only disable edges. A nil or mismatched-target pot is
+// recomputed. limit = +Inf makes the call an unbounded BestAlternative.
+func (r *Router) BestAlternativeWithin(s, t NodeID, w WeightFunc, avoid Path, pot *Potential, limit float64) (Path, bool) {
 	r.grow()
 	r.clearBans()
 	c := r.csr(w)
 	if pot == nil || pot.Target() != t {
 		pot = r.reversePotential(c, t)
 	}
-	return r.bestAlternative(c, s, t, w, avoid, pot)
+	cut := limit
+	if limit > 0 {
+		cut += 1e-9 * limit
+	}
+	alt, ok := r.bestAlternative(c, s, t, w, avoid, pot, cut)
+	if !ok || alt.Length > limit {
+		return Path{}, false
+	}
+	return alt, true
 }
 
-func (r *Router) bestAlternative(c *Snapshot, s, t NodeID, w WeightFunc, avoid Path, pot *Potential) (Path, bool) {
-	first, ok := r.shortestAStar(c, s, t, pot, 0, math.Inf(1))
+// bestAlternative is the shared body of BestAlternative and
+// BestAlternativeWithin. cut prunes searches that cannot finish at or
+// below it (+Inf: none); the deviation round runs serially, because its
+// spur searches are short enough that a fan-out would cost more than it
+// splits.
+func (r *Router) bestAlternative(c *Snapshot, s, t NodeID, w WeightFunc, avoid Path, pot *Potential, cut float64) (Path, bool) {
+	first, ok := r.shortestAStar(c, s, t, pot, 0, cut)
 	if !ok {
 		return Path{}, false
 	}
@@ -255,7 +287,7 @@ func (r *Router) bestAlternative(c *Snapshot, s, t NodeID, w WeightFunc, avoid P
 	seen := pathSet{}
 	seen.add(avoid.Edges)
 	var cands candidateHeap
-	r.spurCandidates(c, avoid, 0, []Path{avoid}, t, w, pot, seen, &cands, nil)
+	r.spurCandidates(c, avoid, 0, []Path{avoid}, t, w, pot, seen, &cands, nil, cut)
 	if cands.Len() == 0 {
 		return Path{}, false
 	}
@@ -275,25 +307,16 @@ func (r *Router) bestAlternative(c *Snapshot, s, t NodeID, w WeightFunc, avoid P
 // and ban context coincide) and would only regenerate suppressed
 // duplicates.
 //
-// bnd, when non-nil, is the candidate-count bound. Its cutoff is read once
-// at round entry — never mid-round — so every spur search of the round
-// (serial or parallel) prunes against the same threshold. A spur search
-// whose root length plus the exact distance-to-target of its spur node
-// already exceeds the cutoff is skipped before any ban setup; the rest pass
-// the cutoff down so the A* can abandon itself mid-flight.
-func (r *Router) spurCandidates(c *Snapshot, base Path, start int, accepted []Path, t NodeID, w WeightFunc, pot *Potential, seen pathSet, cands *candidateHeap, bnd *spurBound) {
+// cut is the round's pruning threshold: KShortest reads the
+// candidate-count bound's cutoff once at round entry — never mid-round —
+// so every spur search of the round (serial or parallel) prunes against
+// the same threshold; BestAlternativeWithin passes its limit. A spur
+// search whose root length plus the exact distance-to-target of its spur
+// node already exceeds cut is skipped before any ban setup; the rest pass
+// cut down so the A* can abandon itself mid-flight. bnd, when non-nil,
+// records every pushed candidate length.
+func (r *Router) spurCandidates(c *Snapshot, base Path, start int, accepted []Path, t NodeID, w WeightFunc, pot *Potential, seen pathSet, cands *candidateHeap, bnd *spurBound, cut float64) {
 	n := len(base.Edges)
-	if start < 0 {
-		start = 0
-	}
-	cut := math.Inf(1)
-	if bnd != nil {
-		cut = bnd.cutoff()
-	}
-	if workers := r.spurParallelism(n - start); workers > 1 {
-		r.spurCandidatesParallel(c, base, start, accepted, t, w, pot, seen, cands, bnd, cut, workers)
-		return
-	}
 	rootLen := 0.0
 	for j := 0; j < start; j++ {
 		rootLen += w(base.Edges[j])

@@ -3,6 +3,7 @@ package graph
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -272,7 +273,7 @@ func TestKShortestTiedWeightsLengths(t *testing.T) {
 
 // TestKShortestCachedPotentialAfterDisables checks the admissibility
 // argument the oracle caching relies on: a potential computed on the intact
-// graph keeps BestAlternativeWithPotential exact after edges are disabled.
+// graph keeps BestAlternativeWithin exact after edges are disabled.
 func TestKShortestCachedPotentialAfterDisables(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -295,7 +296,7 @@ func TestKShortestCachedPotentialAfterDisables(t *testing.T) {
 			}
 		}
 		wantPath, wantOK := refBestAlternative(NewRouter(g), s, tgt, w, avoid)
-		gotPath, gotOK := r.BestAlternativeWithPotential(s, tgt, w, avoid, pot)
+		gotPath, gotOK := r.BestAlternativeWithin(s, tgt, w, avoid, pot, math.Inf(1))
 		tx.Rollback()
 
 		if gotOK != wantOK {
@@ -351,5 +352,125 @@ func TestKShortestWithPotentialMatches(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// randomTiedMultiGraph builds a random directed graph whose small integer
+// weights make exact path-length ties common and which holds parallel
+// edges (twins of the same arc, some with equal weight), the two regimes
+// the tie-free generator avoids.
+func randomTiedMultiGraph(rng *rand.Rand) (*Graph, WeightFunc) {
+	n := 4 + rng.Intn(10)
+	g := New(n)
+	var weights []float64
+	addEdge := func(a, b NodeID, w float64) {
+		g.MustAddEdge(a, b)
+		weights = append(weights, w)
+	}
+	perm := rng.Perm(n)
+	for i := 1; i < n; i++ {
+		addEdge(NodeID(perm[i-1]), NodeID(perm[i]), float64(1+rng.Intn(3)))
+	}
+	for i, m := 0, n+rng.Intn(3*n); i < m; i++ {
+		a, b := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+		w := float64(1 + rng.Intn(3))
+		addEdge(a, b, w)
+		if rng.Intn(4) == 0 { // parallel twin, tied half the time
+			if rng.Intn(2) == 0 {
+				w = float64(1 + rng.Intn(3))
+			}
+			addEdge(a, b, w)
+		}
+	}
+	return g, func(e EdgeID) float64 { return weights[e] }
+}
+
+// TestBestAlternativeWithinMatchesUnbounded checks the attack loops'
+// bounded exclusivity oracle against the unbounded deviation round. On
+// each input family, with a potential built on the intact graph and a
+// random set of edges disabled afterwards, BestAlternativeWithin must
+// return the unbounded round's path bit for bit (edges, nodes and Length)
+// whenever that path's Length is at most limit, and (Path{}, false)
+// otherwise. The limits probe exactly the path length, one ulp either
+// side of it, the attack loops' tie bound over avoid, zero, a random
+// value, and +Inf.
+//
+// The unbounded round is BestAlternativeWithin at limit +Inf on the same
+// potential. It must equal BestAlternative exactly, which computes its
+// potential on the current state, whenever the two potentials could not
+// break ties differently: on tie-free graphs, and on every graph before
+// any edge is disabled. Under ties with edges disabled the two may pick
+// different tied representatives, so there only their lengths must agree.
+func TestBestAlternativeWithinMatchesUnbounded(t *testing.T) {
+	inputs := []struct {
+		name  string
+		tied  bool
+		build func(*rand.Rand) (*Graph, WeightFunc)
+	}{
+		{"tie-free", false, randomTieFreeGraph},
+		{"tied-parallel", true, randomTiedMultiGraph},
+		{"grid", true, func(*rand.Rand) (*Graph, WeightFunc) { return gridGraph(4, 5) }},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			var pruned, kept int
+			for trial := 0; trial < 150; trial++ {
+				g, w := in.build(rng)
+				n := g.NumNodes()
+				s, tgt := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+				avoids := NewRouter(g).KShortest(s, tgt, 1+rng.Intn(6), w)
+				if len(avoids) == 0 {
+					continue
+				}
+				avoid := avoids[len(avoids)-1]
+				r := NewRouter(g)
+				r.UseSnapshot(Freeze(g, w))
+				pot := r.ReversePotential(tgt, w)
+
+				tx := g.Begin()
+				if trial%4 != 0 {
+					for e := 0; e < g.NumEdges(); e++ {
+						if rng.Intn(6) == 0 {
+							tx.Disable(EdgeID(e))
+						}
+					}
+				}
+				want, wantOK := r.BestAlternativeWithin(s, tgt, w, avoid, pot, math.Inf(1))
+				fresh, freshOK := NewRouter(g).BestAlternative(s, tgt, w, avoid)
+				if !in.tied || len(tx.Disabled()) == 0 {
+					if !samePath(want, fresh, wantOK, freshOK) {
+						t.Fatalf("trial %d: unbounded round %v (ok=%v), BestAlternative %v (ok=%v)", trial, want, wantOK, fresh, freshOK)
+					}
+				} else if wantOK != freshOK || (wantOK && want.Length != fresh.Length) {
+					t.Fatalf("trial %d: unbounded length %v (ok=%v), BestAlternative %v (ok=%v)", trial, want.Length, wantOK, fresh.Length, freshOK)
+				}
+
+				limits := []float64{0, math.Inf(1), rng.Float64() * 2 * avoid.Length,
+					avoid.Length + 1e-9*math.Max(1, avoid.Length)}
+				if wantOK {
+					limits = append(limits, want.Length,
+						math.Nextafter(want.Length, math.Inf(-1)), math.Nextafter(want.Length, math.Inf(1)))
+				}
+				for _, limit := range limits {
+					got, gotOK := r.BestAlternativeWithin(s, tgt, w, avoid, pot, limit)
+					if wantOK && want.Length <= limit {
+						kept++
+						if !samePath(got, want, gotOK, true) {
+							t.Fatalf("trial %d limit %v: got %v (ok=%v), want %v", trial, limit, got, gotOK, want)
+						}
+						continue
+					}
+					pruned++
+					if gotOK || !got.Empty() {
+						t.Fatalf("trial %d limit %v: got %v (ok=%v), want (Path{}, false); unbounded %v (ok=%v)", trial, limit, got, gotOK, want, wantOK)
+					}
+				}
+				tx.Rollback()
+			}
+			if pruned == 0 || kept == 0 {
+				t.Fatalf("degenerate inputs: %d within-limit and %d over-limit queries", kept, pruned)
+			}
+		})
 	}
 }

@@ -1,10 +1,7 @@
 package overlay
 
 // White-box tests: clique exactness against a reference restricted
-// Dijkstra, the eCell customization dispatch table, the
-// cells-recomputed counter, MarkStale coalescing, and Clone
-// independence. Black-box partition/query differentials live in the
-// overlay_test package.
+// Dijkstra, and partition determinism under a fixed seed.
 
 import (
 	"container/heap"
@@ -13,7 +10,6 @@ import (
 	"testing"
 
 	"altroute/internal/citygen"
-	"altroute/internal/graph"
 	"altroute/internal/roadnet"
 )
 
@@ -110,147 +106,6 @@ func TestCliqueMatchesReferenceRestrictedDijkstra(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no cells with boundaries checked")
-	}
-}
-
-func TestECellDispatchTable(t *testing.T) {
-	net, ov, _ := buildFixture(t)
-	g := net.Graph()
-	for e := 0; e < len(ov.eCell); e++ {
-		a := g.Arc(graph.EdgeID(e))
-		same := ov.cell[a.From] == ov.cell[a.To]
-		if same && ov.eCell[e] != ov.cell[a.From] {
-			t.Fatalf("edge %d: interior to cell %d but eCell = %d", e, ov.cell[a.From], ov.eCell[e])
-		}
-		if !same && ov.eCell[e] != -1 {
-			t.Fatalf("edge %d: cross-cell (%d->%d) but eCell = %d", e, ov.cell[a.From], ov.cell[a.To], ov.eCell[e])
-		}
-	}
-}
-
-// TestSingleCutCustomizationScope is the acceptance assertion: disabling
-// one interior edge recomputes exactly the one affected cell, and a
-// cross-cell cut recomputes none.
-func TestSingleCutCustomizationScope(t *testing.T) {
-	net, ov, m := buildFixture(t)
-	g := net.Graph()
-
-	interior := graph.EdgeID(-1)
-	cross := graph.EdgeID(-1)
-	for e := range ov.eCell {
-		if ov.eCell[e] >= 0 && interior < 0 {
-			interior = graph.EdgeID(e)
-		}
-		if ov.eCell[e] < 0 && cross < 0 {
-			cross = graph.EdgeID(e)
-		}
-	}
-	if interior < 0 || cross < 0 {
-		t.Skip("fixture lacks an interior or cross-cell edge")
-	}
-
-	g.DisableEdge(interior)
-	if n := m.Customize(context.Background(), interior); n != 1 {
-		t.Fatalf("interior cut recomputed %d cells, want 1", n)
-	}
-	if got := m.CellsRecomputed(); got != 1 {
-		t.Fatalf("CellsRecomputed = %d, want 1", got)
-	}
-	g.EnableEdge(interior)
-	if n := m.Customize(context.Background(), interior); n != 1 {
-		t.Fatalf("re-enable recomputed %d cells, want 1", n)
-	}
-
-	g.DisableEdge(cross)
-	if n := m.Customize(context.Background(), cross); n != 0 {
-		t.Fatalf("cross-cell cut recomputed %d cells, want 0", n)
-	}
-	g.EnableEdge(cross)
-}
-
-func TestMarkStaleCoalescesAndSettles(t *testing.T) {
-	net, ov, m := buildFixture(t)
-	g := net.Graph()
-	interior := graph.EdgeID(-1)
-	for e := range ov.eCell {
-		if ov.eCell[e] >= 0 {
-			interior = graph.EdgeID(e)
-			break
-		}
-	}
-	if interior < 0 {
-		t.Skip("fixture lacks an interior edge")
-	}
-
-	g.DisableEdge(interior)
-	m.MarkStale(interior)
-	g.EnableEdge(interior)
-	m.MarkStale(interior) // double toggle: same cell, coalesced
-	if got := m.Pending(); got != 1 {
-		t.Fatalf("Pending = %d after coalesced double toggle, want 1", got)
-	}
-	if got := m.CellsRecomputed(); got != 0 {
-		t.Fatalf("MarkStale recomputed %d cells, want 0 (deferred)", got)
-	}
-	m.ensureSettled()
-	if got := m.Pending(); got != 0 {
-		t.Fatalf("Pending = %d after settle, want 0", got)
-	}
-	// The toggles net out to the base state and the clique was computed
-	// all-enabled, so the coalesced repair is a recognized no-op.
-	if got := m.CellsRecomputed(); got != 0 {
-		t.Fatalf("settle recomputed %d cells after net-zero toggle, want 0 (base skip)", got)
-	}
-
-	// A disable that sticks must still repair on settle.
-	g.DisableEdge(interior)
-	m.MarkStale(interior)
-	m.ensureSettled()
-	if got := m.CellsRecomputed(); got != 1 {
-		t.Fatalf("settle recomputed %d cells after sticking disable, want 1", got)
-	}
-	// And the repair back to base after re-enabling is real work too: the
-	// clique bytes currently describe the cut state.
-	g.EnableEdge(interior)
-	m.MarkStale(interior)
-	m.ensureSettled()
-	if got := m.CellsRecomputed(); got != 2 {
-		t.Fatalf("settle recomputed %d cells after re-enable of dirty cell, want 2", got)
-	}
-}
-
-func TestCloneIsIndependent(t *testing.T) {
-	net, ov, m := buildFixture(t)
-	g := net.Graph()
-	clone := m.Clone()
-	if clone.CellsRecomputed() != 0 {
-		t.Fatalf("clone counters must start at zero")
-	}
-
-	interior := graph.EdgeID(-1)
-	for e := range ov.eCell {
-		if ov.eCell[e] >= 0 {
-			interior = graph.EdgeID(e)
-			break
-		}
-	}
-	if interior < 0 {
-		t.Skip("fixture lacks an interior edge")
-	}
-	c := ov.eCell[interior]
-	base := m.cliqueOff[c]
-	k := int64(ov.boundaryCount(c))
-	before := append([]float64(nil), clone.clique[base:base+k*k]...)
-
-	g.DisableEdge(interior)
-	m.Customize(context.Background(), interior)
-	g.EnableEdge(interior)
-	defer m.Customize(context.Background(), interior)
-
-	for i, v := range clone.clique[base : base+k*k] {
-		if v != before[i] {
-			t.Fatalf("customizing the original mutated the clone's clique at %d", i)
-		}
 	}
 }
 

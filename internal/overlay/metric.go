@@ -3,64 +3,20 @@ package overlay
 import (
 	"context"
 	"math"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"altroute/internal/graph"
 )
 
 // Metric is the weight half of the CRP structure: per-cell clique
 // matrices of boundary-to-boundary shortest distances restricted to the
-// cell's interior, honouring the live disabled flags at computation
-// time. Cliques are exact distances, so label sweeps over the boundary
-// graph compute exact overlay distances — which is what makes corridor
-// pruning lossless.
-//
-// Concurrency: queries take the read lock for their whole run (the
-// corridor reads the live disabled flags, which Customize mutators also
-// cover when routed through Apply); Customize/Apply take the write
-// lock. A Metric and its Queriers therefore tolerate concurrent
-// customize-vs-query; the underlying graph's disable calls must go
-// through Apply for that to hold.
+// cell's interior, honouring the disabled flags at build time. It is
+// immutable after NewMetric and safe for any number of concurrent
+// readers.
 type Metric struct {
 	ov *Overlay
 
-	mu        sync.RWMutex
 	cliqueOff []int64   // cell -> offset into clique (k_c^2 entries per cell)
 	clique    []float64 // row-major: clique[off + i*k + j] = dist(b_i -> b_j) within the cell
 
-	// pending holds cells whose cliques are stale because a customization
-	// was cancelled mid-drain. Queries settle it before trusting labels.
-	pending      []int32
-	pendingMark  []bool
-	pendingCount atomic.Int32
-
-	// baseDisabled is the disabled state captured at NewMetric time — the
-	// metric's base state. Cities legitimately ship with closed roads, so
-	// "base" is NOT "everything enabled": it is whatever state the cliques
-	// were first built under. Immutable after construction.
-	baseDisabled []bool
-
-	// cliqueDirty[c] records whether cell c's clique was last computed
-	// with at least one interior edge off its base state. A queued repair
-	// for a cell that is back at base AND not dirty is a no-op: the clique
-	// bytes already describe the base state. Attack loops lean on this —
-	// every run's rollback re-enables its cuts, so post-run repairs skip
-	// and the cliques stay at their base bytes across runs.
-	cliqueDirty []bool
-
-	// tlCache holds target labels built at the base state. Entries are
-	// immutable once stored and exact for the base snapshot forever, so
-	// repeated attack runs against the same destination skip the label
-	// build entirely.
-	tlCache map[graph.NodeID]*TargetLabels
-
-	cellsRecomputed atomic.Int64
-	buildNS         int64
-	customizeNS     atomic.Int64
-
-	// Restricted-Dijkstra scratch, guarded by mu (writers only).
+	// Restricted-Dijkstra scratch for the build.
 	dist  []float64
 	stamp []uint64
 	cur   uint64
@@ -71,16 +27,11 @@ type Metric struct {
 // state. Cancelling ctx aborts with its error; the partial metric is
 // discarded.
 func NewMetric(ctx context.Context, ov *Overlay) (*Metric, error) {
-	start := time.Now() //lint:allow wallclock build duration feeds shard stats observability, never results
 	m := &Metric{
-		ov:           ov,
-		cliqueOff:    make([]int64, ov.numCells+1),
-		pendingMark:  make([]bool, ov.numCells),
-		baseDisabled: append([]bool(nil), ov.csr.Disabled...),
-		cliqueDirty:  make([]bool, ov.numCells),
-		tlCache:      make(map[graph.NodeID]*TargetLabels),
-		dist:         make([]float64, ov.csr.N),
-		stamp:        make([]uint64, ov.csr.N),
+		ov:        ov,
+		cliqueOff: make([]int64, ov.numCells+1),
+		dist:      make([]float64, ov.csr.N),
+		stamp:     make([]uint64, ov.csr.N),
 	}
 	var total int64
 	for c := 0; c < ov.numCells; c++ {
@@ -94,18 +45,15 @@ func NewMetric(ctx context.Context, ov *Overlay) (*Metric, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		m.computeCellLocked(int32(c))
+		m.computeCell(int32(c))
 	}
-	m.cellsRecomputed.Store(0)                  // construction is not customization
-	m.buildNS = time.Since(start).Nanoseconds() //lint:allow wallclock build duration feeds shard stats observability, never results
 	return m, nil
 }
 
-// computeCellLocked fills cell c's clique: one restricted Dijkstra per
-// boundary node, relaxing only arcs whose head stays inside the cell and
-// skipping disabled edges. Caller holds the write lock (or owns m
-// exclusively, as NewMetric does).
-func (m *Metric) computeCellLocked(c int32) {
+// computeCell fills cell c's clique: one restricted Dijkstra per boundary
+// node, relaxing only arcs whose head stays inside the cell and skipping
+// disabled edges.
+func (m *Metric) computeCell(c int32) {
 	ov := m.ov
 	csr := ov.csr
 	b0 := ov.cellBOff[c]
@@ -153,189 +101,71 @@ func (m *Metric) computeCellLocked(c int32) {
 			}
 		}
 	}
-	m.cliqueDirty[c] = m.cellInteriorOffBase(c)
 }
 
-// cellInteriorOffBase reports whether any of cell c's interior edges
-// has a disabled flag different from the metric's base state — a scan
-// of the cell's slice of the edge dispatch table comparing live flags
-// against the captured base.
-func (m *Metric) cellInteriorOffBase(c int32) bool {
-	ov := m.ov
-	disabled := ov.csr.Disabled
-	for i, end := ov.cellEOff[c], ov.cellEOff[c+1]; i < end; i++ {
-		if e := ov.cellEdges[i]; disabled[e] != m.baseDisabled[e] {
-			return true
-		}
+// bitem and bheap are the clique build's Dijkstra queue: a 4-ary
+// hole-moving heap under the (distance, node) total order, so pop
+// sequences are deterministic.
+type bitem struct {
+	dist float64
+	node int32
+}
+
+func bless(a, b bitem) bool {
+	if a.dist != b.dist { //lint:allow floateq heap order must be exact: near-ties are distinct priorities, equal bits fall through to the node tie-break
+		return a.dist < b.dist
 	}
-	return false
+	return a.node < b.node
 }
 
-// Customize repairs the metric after the disabled state of the given
-// edges changed (disable or enable alike): every cell containing such an
-// edge in its interior recomputes its clique; cross-cell edges cost
-// nothing because cross arcs read the live disabled flags. Returns the
-// number of cells recomputed. Cancelling ctx defers the remaining cells:
-// they stay queued and are settled by the next Customize or query.
-func (m *Metric) Customize(ctx context.Context, edges ...graph.EdgeID) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, e := range edges {
-		if int(e) >= len(m.ov.eCell) {
-			continue // edge added after freeze: snapshot is stale anyway
-		}
-		if c := m.ov.eCell[e]; c >= 0 && !m.pendingMark[c] {
-			m.pendingMark[c] = true
-			m.pending = append(m.pending, c)
-		}
-	}
-	return m.drainLocked(ctx)
-}
+type bheap []bitem
 
-// Apply runs mutate under the metric's write lock and then customizes
-// for the given edges. It is the race-safe way to disable or enable
-// edges while Queriers run concurrently: queries hold the read lock
-// across their whole search, so they observe either the pre-mutate or
-// the fully-customized post-mutate state, never a torn one.
-func (m *Metric) Apply(ctx context.Context, edges []graph.EdgeID, mutate func()) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mutate()
-	for _, e := range edges {
-		if int(e) >= len(m.ov.eCell) {
-			continue
-		}
-		if c := m.ov.eCell[e]; c >= 0 && !m.pendingMark[c] {
-			m.pendingMark[c] = true
-			m.pending = append(m.pending, c)
-		}
-	}
-	return m.drainLocked(ctx)
-}
-
-// MarkStale queues the cells affected by a disabled-state change of the
-// given edges without recomputing anything: the deferred half of
-// customization. Marked cells are repaired — once, however many toggles
-// were coalesced — by the next Customize call or by ensureSettled when a
-// query next reads the cliques. The attack loops use this as their
-// per-cut hook: the oracle reads only cached target labels (valid lower
-// bounds under cuts) and raw CSR arcs mid-attack, so repair can ride
-// until the next clique read instead of running inside the hot loop.
-func (m *Metric) MarkStale(edges ...graph.EdgeID) {
-	m.mu.Lock()
-	for _, e := range edges {
-		if int(e) >= len(m.ov.eCell) {
-			continue
-		}
-		if c := m.ov.eCell[e]; c >= 0 && !m.pendingMark[c] {
-			m.pendingMark[c] = true
-			m.pending = append(m.pending, c)
-		}
-	}
-	m.pendingCount.Store(int32(len(m.pending)))
-	m.mu.Unlock()
-}
-
-// Pending returns the number of cells queued for repair.
-func (m *Metric) Pending() int { return int(m.pendingCount.Load()) }
-
-// drainLocked recomputes queued cells, stopping early (cells stay
-// queued) when ctx is cancelled.
-func (m *Metric) drainLocked(ctx context.Context) int {
-	start := time.Now() //lint:allow wallclock customize duration feeds shard stats observability, never results
-	done := 0
-	for len(m.pending) > 0 {
-		if ctx != nil && ctx.Err() != nil {
+func (h *bheap) push(it bitem) {
+	*h = append(*h, it)
+	hh := *h
+	i := len(hh) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !bless(it, hh[p]) {
 			break
 		}
-		c := m.pending[len(m.pending)-1]
-		m.pending = m.pending[:len(m.pending)-1]
-		m.pendingMark[c] = false
-		// A cell whose clique was last computed at base and whose interior
-		// is back at base needs no work: coalesced toggles that net out to
-		// the base state (an attack run's rollback) repair to the bytes
-		// already stored.
-		if !m.cliqueDirty[c] && !m.cellInteriorOffBase(c) {
-			continue
+		hh[i] = hh[p]
+		i = p
+	}
+	hh[i] = it
+}
+
+func (h *bheap) pop() bitem {
+	old := *h
+	top := old[0]
+	last := len(old) - 1
+	*h = old[:last]
+	if last == 0 {
+		return top
+	}
+	it := old[last]
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= last {
+			break
 		}
-		m.computeCellLocked(c)
-		done++
-	}
-	m.pendingCount.Store(int32(len(m.pending)))
-	if done > 0 {
-		m.cellsRecomputed.Add(int64(done))
-	}
-	m.customizeNS.Add(time.Since(start).Nanoseconds()) //lint:allow wallclock customize duration feeds shard stats observability, never results
-	return done
-}
-
-// atBaseLocked reports whether the live disabled flags currently equal
-// the metric's base state — the only state the target-label cache
-// serves. One linear pass over the flags with an early out on the first
-// difference; microseconds against the label build it gates.
-func (m *Metric) atBaseLocked() bool {
-	disabled := m.ov.csr.Disabled
-	for e, d := range m.baseDisabled {
-		if disabled[e] != d {
-			return false
+		small := first
+		end := first + 4
+		if end > last {
+			end = last
 		}
+		for child := first + 1; child < end; child++ {
+			if bless(old[child], old[small]) {
+				small = child
+			}
+		}
+		if !bless(old[small], it) {
+			break
+		}
+		old[i] = old[small]
+		i = small
 	}
-	return true
+	old[i] = it
+	return top
 }
-
-// ensureSettled drains any customization deferred by a cancelled
-// Customize before a query trusts the cliques.
-func (m *Metric) ensureSettled() {
-	if m.pendingCount.Load() == 0 {
-		return
-	}
-	m.mu.Lock()
-	m.drainLocked(nil)
-	m.mu.Unlock()
-}
-
-// Clone returns an independent copy sharing the immutable Overlay:
-// cliques and pending state are copied, counters start at zero. The
-// clone must only be used with a graph whose disabled state matches the
-// one the cliques were computed under — in practice, clone the graph and
-// rebuild, or clone metric and graph together before any divergence.
-func (m *Metric) Clone() *Metric {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	c := &Metric{
-		ov:           m.ov,
-		cliqueOff:    m.cliqueOff,
-		clique:       append([]float64(nil), m.clique...),
-		pending:      append([]int32(nil), m.pending...),
-		pendingMark:  append([]bool(nil), m.pendingMark...),
-		baseDisabled: m.baseDisabled, // immutable after construction
-		cliqueDirty:  append([]bool(nil), m.cliqueDirty...),
-		tlCache:      make(map[graph.NodeID]*TargetLabels, len(m.tlCache)),
-		dist:         make([]float64, m.ov.csr.N),
-		stamp:        make([]uint64, m.ov.csr.N),
-		buildNS:      m.buildNS,
-	}
-	for t, tl := range m.tlCache {
-		c.tlCache[t] = tl // entries are immutable: sharing them is safe
-	}
-	c.pendingCount.Store(int32(len(c.pending)))
-	return c
-}
-
-// Overlay returns the topology overlay the metric is built over.
-func (m *Metric) Overlay() *Overlay { return m.ov }
-
-// Snapshot returns the frozen snapshot the overlay was built over.
-func (m *Metric) Snapshot() *graph.Snapshot { return m.ov.snap }
-
-// CellsRecomputed returns the cumulative number of cell cliques
-// recomputed by Customize/Apply calls.
-func (m *Metric) CellsRecomputed() int64 { return m.cellsRecomputed.Load() }
-
-// BuildNanos returns the wall-clock nanoseconds the initial clique build
-// took — observability only.
-func (m *Metric) BuildNanos() int64 { return m.buildNS }
-
-// CustomizeNanos returns cumulative wall-clock nanoseconds spent in
-// customization drains — observability only.
-func (m *Metric) CustomizeNanos() int64 { return m.customizeNS.Load() }
