@@ -567,24 +567,6 @@ func BenchmarkEdgeBetweennessSampled(b *testing.B) {
 	}
 }
 
-// BenchmarkDijkstraBidirectionalCity measures the bidirectional variant on
-// the same queries and attached snapshot as BenchmarkDijkstraCSR (the
-// speedup ablation).
-func BenchmarkDijkstraBidirectionalCity(b *testing.B) {
-	net := benchNetwork(b, citygen.Chicago)
-	w := net.Weight(roadnet.WeightTime)
-	r := altroute.NewRouter(net.Graph())
-	r.UseSnapshot(net.Snapshot(roadnet.WeightTime))
-	n := net.NumIntersections()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := altroute.NodeID(i % n)
-		dst := altroute.NodeID((i*7 + n/2) % n)
-		r.ShortestPathBidirectional(src, dst, w)
-	}
-}
-
 // BenchmarkTrafficAssignment measures incremental BPR assignment on a city
 // with hospital-to-hospital commuter demand.
 func BenchmarkTrafficAssignment(b *testing.B) {

@@ -141,7 +141,26 @@ func Run(alg Algorithm, p Problem, opts Options) (Result, error) {
 //   - A panic anywhere in the attack is recovered into an ErrPanic-wrapped
 //     error carrying the panic value and stack, so one poisoned instance
 //     costs one failed call, not the process.
-func RunCtx(ctx context.Context, alg Algorithm, p Problem, opts Options) (res Result, err error) {
+func RunCtx(ctx context.Context, alg Algorithm, p Problem, opts Options) (Result, error) {
+	return run(ctx, alg, opts, func(ctx context.Context, opts Options) (Result, error) {
+		switch alg {
+		case AlgLPPathCover:
+			return lpPathCover(ctx, []Problem{p}, opts)
+		case AlgGreedyPathCover:
+			return greedyPathCover(ctx, []Problem{p}, opts)
+		case AlgGreedyEdge:
+			return greedyEdge(ctx, p, opts)
+		case AlgGreedyEig:
+			return greedyEig(ctx, p, opts)
+		}
+		return Result{}, fmt.Errorf("%w: unknown algorithm %d", ErrInvalidProblem, alg)
+	})
+}
+
+// run is the harness RunCtx and RunMultiCtx share: it fills the option
+// defaults, applies Options.Timeout to ctx, recovers a panic in attack
+// into an ErrPanic error, and stamps Algorithm and Runtime on success.
+func run(ctx context.Context, alg Algorithm, opts Options, attack func(context.Context, Options) (Result, error)) (res Result, err error) {
 	opts.fill()
 	if ctx == nil {
 		ctx = context.Background()
@@ -158,18 +177,7 @@ func RunCtx(ctx context.Context, alg Algorithm, p Problem, opts Options) (res Re
 			err = panicErr(alg, rec)
 		}
 	}()
-	switch alg {
-	case AlgLPPathCover:
-		res, err = lpPathCover(ctx, p, opts)
-	case AlgGreedyPathCover:
-		res, err = greedyPathCover(ctx, p, opts)
-	case AlgGreedyEdge:
-		res, err = greedyEdge(ctx, p, opts)
-	case AlgGreedyEig:
-		res, err = greedyEig(ctx, p, opts)
-	default:
-		return Result{}, fmt.Errorf("%w: unknown algorithm %d", ErrInvalidProblem, alg)
-	}
+	res, err = attack(ctx, opts)
 	if err != nil {
 		return Result{}, err
 	}

@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
-	"time"
 
 	"altroute/internal/graph"
 )
@@ -32,46 +29,27 @@ type MultiProblem struct {
 	Budget float64
 }
 
-func (p *MultiProblem) validate() error {
-	if p.G == nil {
-		return fmt.Errorf("%w: nil graph", ErrInvalidProblem)
-	}
-	if p.Weight == nil || p.Cost == nil {
-		return fmt.Errorf("%w: nil weight or cost function", ErrInvalidProblem)
-	}
+// problems splits p into one Problem per victim, each carrying the shared
+// graph, weight, cost, and budget. The PathCover loop validates them.
+func (p *MultiProblem) problems() ([]Problem, error) {
 	if len(p.Victims) == 0 {
-		return fmt.Errorf("%w: no victims", ErrInvalidProblem)
+		return nil, fmt.Errorf("%w: no victims", ErrInvalidProblem)
 	}
-	for i := range p.Victims {
-		v := &p.Victims[i]
-		sub := Problem{
+	victims := make([]Problem, len(p.Victims))
+	for i, v := range p.Victims {
+		victims[i] = Problem{
 			G: p.G, Source: v.Source, Dest: v.Dest, PStar: v.PStar,
-			Weight: p.Weight, Cost: p.Cost,
-		}
-		if err := sub.validate(); err != nil {
-			return fmt.Errorf("victim %d: %w", i, err)
-		}
-		v.PStar = sub.PStar // normalized length
-	}
-	return nil
-}
-
-// unionPStarSet returns the union of all victims' p* edges — the protected
-// set no cut may touch.
-func (p *MultiProblem) unionPStarSet() map[graph.EdgeID]struct{} {
-	set := make(map[graph.EdgeID]struct{})
-	for _, v := range p.Victims {
-		for _, e := range v.PStar.Edges {
-			set[e] = struct{}{}
+			Weight: p.Weight, Cost: p.Cost, Budget: p.Budget,
 		}
 	}
-	return set
+	return victims, nil
 }
 
 // RunMulti computes one edge cut forcing every victim onto its alternative
 // route. Only the constraint-generation algorithms generalize to multiple
 // victims (their Set Cover pool simply accumulates constraints from every
-// victim); AlgGreedyEdge and AlgGreedyEig return ErrInvalidProblem.
+// victim, in the same loop a single-victim Run uses); AlgGreedyEdge and
+// AlgGreedyEig return ErrInvalidProblem.
 //
 // The graph is restored before returning; commit the cut with Apply.
 // RunMulti is a thin context.Background() wrapper over RunMultiCtx.
@@ -81,140 +59,22 @@ func RunMulti(alg Algorithm, p MultiProblem, opts Options) (Result, error) {
 
 // RunMultiCtx is RunMulti under a context, with the same cancellation,
 // deadline, degradation, and panic-isolation semantics as RunCtx.
-func RunMultiCtx(ctx context.Context, alg Algorithm, p MultiProblem, opts Options) (res Result, err error) {
-	opts.fill()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, opts.Timeout, ErrTimeout)
-		defer cancel()
-	}
-	var solve coverSolver
-	degradeToGreedy := false
+func RunMultiCtx(ctx context.Context, alg Algorithm, p MultiProblem, opts Options) (Result, error) {
+	var cover func(context.Context, []Problem, Options) (Result, error)
 	switch alg {
 	case AlgGreedyPathCover:
-		solve = greedySolver
+		cover = greedyPathCover
 	case AlgLPPathCover:
-		degradeToGreedy = true
-		solve = func(ctx context.Context, pool []graph.Path, pr *Problem, pstarSet map[graph.EdgeID]struct{}) ([]graph.EdgeID, bool, error) {
-			return lpCover(ctx, pool, pr, pstarSet, opts)
-		}
+		cover = lpPathCover
 	default:
 		return Result{}, fmt.Errorf("%w: algorithm %v does not support multi-victim attacks (use GreedyPathCover or LP-PathCover)",
 			ErrInvalidProblem, alg)
 	}
-	if err := p.validate(); err != nil {
-		return Result{}, err
-	}
-	start := time.Now() //lint:allow wallclock measuring Result.Runtime; never feeds attack decisions
-	defer func() {
-		if rec := recover(); rec != nil {
-			res = Result{}
-			err = panicErr(alg, rec)
-		}
-	}()
-	res, err = multiCoverLoop(ctx, p, opts, solve, degradeToGreedy)
+	victims, err := p.problems()
 	if err != nil {
 		return Result{}, err
 	}
-	res.Algorithm = alg
-	res.Runtime = time.Since(start) //lint:allow wallclock measuring Result.Runtime; never feeds attack decisions
-	return res, nil
+	return run(ctx, alg, opts, func(ctx context.Context, opts Options) (Result, error) {
+		return cover(ctx, victims, opts)
+	})
 }
-
-// multiCoverLoop is pathCoverLoop generalized over victims: every round
-// queries each victim's exclusivity oracle under the current cut, adds all
-// violations to the shared pool, and re-solves the cover.
-func multiCoverLoop(ctx context.Context, p MultiProblem, opts Options, solve coverSolver, degradeToGreedy bool) (Result, error) {
-	r := graph.NewRouter(p.G)
-	r.SetContext(ctx)
-	// All victims share one weight function, so one frozen snapshot serves
-	// every oracle and potential below.
-	r.UseSnapshot(graph.Freeze(p.G, p.Weight))
-	protected := p.unionPStarSet()
-	budget := p.Budget
-	if budget <= 0 {
-		budget = inf()
-	}
-
-	// proxy is the Problem handed to the cover solvers: only G, Weight,
-	// and Cost are consulted there.
-	proxy := Problem{G: p.G, Weight: p.Weight, Cost: p.Cost}
-
-	// One cached reverse potential per victim destination, computed on the
-	// unmodified graph and valid for every round (cuts only disable edges).
-	pots := make([]*graph.Potential, len(p.Victims))
-	for i := range p.Victims {
-		pots[i] = r.ReversePotential(p.Victims[i].Dest, p.Weight)
-	}
-
-	var pool []graph.Path
-	var cut []graph.EdgeID
-	degraded := false
-	for round := 0; round < opts.MaxRounds; round++ {
-		injectRound(ctx)
-		tx := p.G.Begin()
-		for _, e := range cut {
-			tx.Disable(e)
-		}
-		violations := 0
-		for i := range p.Victims {
-			v := &p.Victims[i]
-			sub := Problem{
-				G: p.G, Source: v.Source, Dest: v.Dest, PStar: v.PStar,
-				Weight: p.Weight, Cost: p.Cost,
-			}
-			viol, violated := sub.violating(r, pots[i])
-			if !violated {
-				continue
-			}
-			violations++
-			if !hasCuttableEdge(viol, &proxy, protected) {
-				tx.Rollback()
-				return Result{}, fmt.Errorf("%w: victim %d's violating path %v lies entirely on protected routes",
-					ErrInfeasible, i, viol)
-			}
-			pool = append(pool, viol)
-		}
-		tx.Rollback()
-		// Checked before trusting violations == 0: a cancelled oracle can
-		// miss violations.
-		if ctx.Err() != nil {
-			return degradeOrErr(ctx, &proxy, pool, protected, round, degradeToGreedy)
-		}
-
-		if violations == 0 {
-			sort.Slice(cut, func(i, j int) bool { return cut[i] < cut[j] })
-			res := Result{
-				Removed:         cut,
-				TotalCost:       TotalCost(p.Cost, cut),
-				Rounds:          round,
-				ConstraintPaths: len(pool),
-				Degraded:        degraded,
-			}
-			if degraded {
-				res.DegradedReason = "LP solve failed; greedy cover substituted"
-			}
-			return res, nil
-		}
-		var solDegraded bool
-		var err error
-		cut, solDegraded, err = solve(ctx, pool, &proxy, protected)
-		if err != nil {
-			if ctx.Err() != nil {
-				return degradeOrErr(ctx, &proxy, pool, protected, round, degradeToGreedy)
-			}
-			return Result{}, err
-		}
-		degraded = degraded || solDegraded
-		if c := TotalCost(p.Cost, cut); c > budget {
-			return Result{}, fmt.Errorf("%w: multi-victim cover costs %.3f > budget %.3f",
-				ErrBudgetExceeded, c, p.Budget)
-		}
-	}
-	return Result{}, fmt.Errorf("%w: no multi-victim solution within %d rounds", ErrInfeasible, opts.MaxRounds)
-}
-
-func inf() float64 { return math.Inf(1) }

@@ -2,9 +2,15 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"altroute/internal/citygen"
 	"altroute/internal/graph"
+	"altroute/internal/roadnet"
 )
 
 // multiGraph builds a two-destination network:
@@ -174,5 +180,110 @@ func TestRunMultiAlreadyExclusive(t *testing.T) {
 	}
 	if len(res.Removed) != 0 {
 		t.Errorf("removed %v, want nothing", res.Removed)
+	}
+}
+
+// TestRunMultiOneVictimMatchesRun pins the claim that the single-victim
+// and multi-victim attacks are one constraint-generation loop: a one-victim
+// RunMulti returns exactly what Run returns (every Result field but
+// Runtime, bit for bit, and the same error), whether or not the Problem
+// carries a cached snapshot and potential. Instances are random graphs and
+// a small calibrated city under both weights and every cost.
+func TestRunMultiOneVictimMatchesRun(t *testing.T) {
+	compared, cuts := 0, 0
+	check := func(t *testing.T, name string, p Problem, seed int64) {
+		t.Helper()
+		compared++
+		mp := MultiProblem{
+			G:       p.G,
+			Victims: []VictimSpec{{Source: p.Source, Dest: p.Dest, PStar: p.PStar}},
+			Weight:  p.Weight, Cost: p.Cost, Budget: p.Budget,
+		}
+		cached := p
+		cached.Snapshot = graph.Freeze(p.G, p.Weight)
+		cached.Potential = graph.NewRouter(p.G).ReversePotential(p.Dest, p.Weight)
+		for _, alg := range []Algorithm{AlgGreedyPathCover, AlgLPPathCover} {
+			opts := Options{Seed: seed}
+			got, errGot := RunMulti(alg, mp, opts)
+			for variant, pv := range map[string]Problem{"nil": p, "cached": cached} {
+				want, errWant := Run(alg, pv, opts)
+				if fmt.Sprint(errGot) != fmt.Sprint(errWant) {
+					t.Fatalf("%s %v (%s): RunMulti err %v, Run err %v", name, alg, variant, errGot, errWant)
+				}
+				got.Runtime, want.Runtime = 0, 0
+				if !reflect.DeepEqual(got, want) || math.Float64bits(got.TotalCost) != math.Float64bits(want.TotalCost) {
+					t.Fatalf("%s %v (%s): RunMulti %+v, Run %+v", name, alg, variant, got, want)
+				}
+			}
+			if len(got.Removed) > 0 {
+				cuts++
+			}
+		}
+	}
+
+	t.Run("random", func(t *testing.T) {
+		for seed := int64(1); seed <= 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			n := 8 + rng.Intn(12)
+			w := &weighted{g: graph.New(n)}
+			for i := 0; i < n; i++ {
+				w.weight = append(w.weight, float64(1+rng.Intn(9)))
+				w.cost = append(w.cost, float64(1+rng.Intn(4)))
+				w.g.MustAddEdge(graph.NodeID(i), graph.NodeID((i+1)%n))
+			}
+			for i := 0; i < 2*n; i++ {
+				a, b := rng.Intn(n), rng.Intn(n)
+				if a == b {
+					continue
+				}
+				w.weight = append(w.weight, float64(1+rng.Intn(9)))
+				w.cost = append(w.cost, float64(1+rng.Intn(4)))
+				w.g.MustAddEdge(graph.NodeID(a), graph.NodeID(b))
+			}
+			s, d := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+			if s == d {
+				continue
+			}
+			pstar, err := PStarByRank(w.g, s, d, 2+rng.Intn(6), w.wf())
+			if err != nil {
+				continue
+			}
+			// Every fourth instance carries a tight budget, so the budget
+			// error path is compared too.
+			budget := 0.0
+			if seed%4 == 0 {
+				budget = 2
+			}
+			p := Problem{G: w.g, Source: s, Dest: d, PStar: pstar, Weight: w.wf(), Cost: w.cf(), Budget: budget}
+			check(t, fmt.Sprintf("seed %d", seed), p, seed)
+		}
+	})
+
+	t.Run("city", func(t *testing.T) {
+		net, err := citygen.Build(citygen.Boston, 0.03, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		hospitals := net.POIsOfKind(citygen.KindHospital)
+		for _, wt := range roadnet.WeightTypes() {
+			for _, ct := range roadnet.CostTypes() {
+				for k := 0; k < 2; k++ {
+					s := graph.NodeID(rng.Intn(net.NumIntersections()))
+					d := hospitals[k].Node
+					p, err := NewProblem(net, s, d, 10, wt, ct, 0)
+					if err != nil {
+						continue
+					}
+					check(t, fmt.Sprintf("%v/%v %d->%d", wt, ct, s, d), p, 1)
+				}
+			}
+		}
+	})
+
+	// Guard against a vacuous pass: most instances must be attackable,
+	// and most attacks must actually cut something.
+	if !t.Failed() && (compared < 30 || cuts < compared) {
+		t.Fatalf("compared %d instances with %d non-empty cuts; the generators no longer exercise the loop", compared, cuts)
 	}
 }

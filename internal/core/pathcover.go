@@ -26,11 +26,12 @@ func greedySolver(_ context.Context, pool []graph.Path, p *Problem, pstarSet map
 
 // greedyPathCover implements the paper's GreedyPathCover: constraint
 // generation with a greedy weighted Set Cover inner solver. Each round
-// finds a live path no longer than p* (a violated covering constraint),
-// adds it to the constraint pool, and re-solves the cover over the whole
-// pool, cutting the edges that hit the most constraint paths per unit cost.
-func greedyPathCover(ctx context.Context, p Problem, opts Options) (Result, error) {
-	return pathCoverLoop(ctx, p, opts, greedySolver, false)
+// finds, per victim, a live path no longer than that victim's p* (a
+// violated covering constraint), adds it to the constraint pool, and
+// re-solves the cover over the whole pool, cutting the edges that hit the
+// most constraint paths per unit cost.
+func greedyPathCover(ctx context.Context, victims []Problem, opts Options) (Result, error) {
+	return pathCoverLoop(ctx, victims, opts, greedySolver, false)
 }
 
 // lpPathCover implements the paper's LP-PathCover: the same constraint
@@ -39,37 +40,59 @@ func greedyPathCover(ctx context.Context, p Problem, opts Options) (Result, erro
 // threshold rounding, randomized rounding trials, and redundancy pruning.
 // It finds the cheapest cuts but is the slowest algorithm, matching the
 // paper's 5-10x runtime gap over GreedyPathCover.
-func lpPathCover(ctx context.Context, p Problem, opts Options) (Result, error) {
+func lpPathCover(ctx context.Context, victims []Problem, opts Options) (Result, error) {
 	solver := func(ctx context.Context, pool []graph.Path, pr *Problem, pstarSet map[graph.EdgeID]struct{}) ([]graph.EdgeID, bool, error) {
 		return lpCover(ctx, pool, pr, pstarSet, opts)
 	}
-	return pathCoverLoop(ctx, p, opts, solver, true)
+	return pathCoverLoop(ctx, victims, opts, solver, true)
 }
 
 // pathCoverLoop is the shared constraint-generation skeleton: maintain a
-// pool of violating paths; after every new violation, re-solve the cover
-// from scratch over the full pool (cuts are NOT monotone across rounds —
-// this is what lets the PathCover algorithms escape the naive baselines'
-// mistakes). Terminates because every round's oracle path is distinct from
-// all pool paths (each pool path contains a cut edge; the oracle path is
-// live), and the number of simple paths is finite.
+// pool of violating paths; after every round's new violations, re-solve
+// the cover from scratch over the full pool (cuts are NOT monotone across
+// rounds — this is what lets the PathCover algorithms escape the naive
+// baselines' mistakes). Terminates because every round's oracle paths are
+// distinct from all pool paths (each pool path contains a cut edge; the
+// oracle paths are live), and the number of simple paths is finite.
+//
+// victims are the attack's trips: one for a single-victim Run, several for
+// the coordinated RunMulti. They share G, Weight, Cost, and Budget; every
+// round queries each victim's exclusivity oracle under the current cut,
+// and no cut may touch any victim's p* (the protected set).
 // degradeToGreedy selects the failure behaviour on an expired deadline:
 // LP-PathCover (true) falls back to the greedy cover of the constraint pool
 // built so far; the others surface the typed error.
-func pathCoverLoop(ctx context.Context, p Problem, opts Options, solve coverSolver, degradeToGreedy bool) (Result, error) {
-	if err := p.validate(); err != nil {
-		return Result{}, err
+func pathCoverLoop(ctx context.Context, victims []Problem, opts Options, solve coverSolver, degradeToGreedy bool) (Result, error) {
+	for i := range victims {
+		if err := victims[i].validate(); err != nil {
+			if len(victims) > 1 {
+				err = fmt.Errorf("victim %d: %w", i, err)
+			}
+			return Result{}, err
+		}
 	}
+	// The first victim stands in for the shared fields: its snapshot backs
+	// the router, its budget caps the cut, and the cover solvers read only
+	// its Cost and cuttable.
+	p := &victims[0]
 	r := p.router(ctx)
-	pstarSet := p.PStar.EdgeSet()
+	protected := make(map[graph.EdgeID]struct{})
+	for _, v := range victims {
+		for _, e := range v.PStar.Edges {
+			protected[e] = struct{}{}
+		}
+	}
 	budget := p.budgetOrInf()
 	// Taken on the unmodified graph, before the first constraint round:
-	// rounds only disable edges, so the reverse potential stays admissible
-	// for every round, which each rollback restores to this same base
-	// state.
-	pot := p.potential(r)
+	// rounds only disable edges, so each reverse potential stays
+	// admissible for every round, which each rollback restores to this
+	// same base state.
+	pots := make([]*graph.Potential, len(victims))
+	for i := range victims {
+		pots[i] = victims[i].potential(r)
+	}
 
-	var pool []graph.Path
+	var pool, viols []graph.Path
 	var cut []graph.EdgeID
 	degraded := false
 	for round := 0; round < opts.MaxRounds; round++ {
@@ -78,16 +101,21 @@ func pathCoverLoop(ctx context.Context, p Problem, opts Options, solve coverSolv
 		for _, e := range cut {
 			tx.Disable(e)
 		}
-		viol, violated := p.violating(r, pot)
+		viols = viols[:0]
+		for i := range victims {
+			if viol, violated := victims[i].violating(r, pots[i]); violated {
+				viols = append(viols, viol)
+			}
+		}
 		tx.Rollback()
 		// A cancelled oracle can report "no violation" spuriously (its spur
 		// round was cut short), so the context check must come before the
 		// success test.
 		if ctx.Err() != nil {
-			return degradeOrErr(ctx, &p, pool, pstarSet, round, degradeToGreedy)
+			return degradeOrErr(ctx, p, pool, protected, round, degradeToGreedy)
 		}
 
-		if !violated {
+		if len(viols) == 0 {
 			sort.Slice(cut, func(i, j int) bool { return cut[i] < cut[j] })
 			res := Result{
 				Removed:         cut,
@@ -102,17 +130,19 @@ func pathCoverLoop(ctx context.Context, p Problem, opts Options, solve coverSolv
 			return res, nil
 		}
 
-		if !hasCuttableEdge(viol, &p, pstarSet) {
-			return Result{}, fmt.Errorf("%w: violating path %v has no edge off p*", ErrInfeasible, viol)
+		for _, viol := range viols {
+			if !hasCuttableEdge(viol, p, protected) {
+				return Result{}, fmt.Errorf("%w: violating path %v has no edge off the protected p*", ErrInfeasible, viol)
+			}
 		}
-		pool = append(pool, viol)
+		pool = append(pool, viols...)
 
 		var solDegraded bool
 		var err error
-		cut, solDegraded, err = solve(ctx, pool, &p, pstarSet)
+		cut, solDegraded, err = solve(ctx, pool, p, protected)
 		if err != nil {
 			if ctx.Err() != nil {
-				return degradeOrErr(ctx, &p, pool, pstarSet, round, degradeToGreedy)
+				return degradeOrErr(ctx, p, pool, protected, round, degradeToGreedy)
 			}
 			return Result{}, err
 		}

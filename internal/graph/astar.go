@@ -2,66 +2,6 @@ package graph
 
 import "math"
 
-// Heuristic estimates the remaining cost from a node to the (implicit)
-// target. A* is correct when the heuristic is admissible (never
-// overestimates); road networks use straight-line distance divided by the
-// maximum speed.
-type Heuristic func(NodeID) float64
-
-// ShortestPathAStar returns a minimum-weight s->t path like ShortestPath,
-// guided by the heuristic h. With an admissible h it returns an optimal
-// path while settling fewer nodes; with h ≡ 0 it degrades to Dijkstra.
-// Temporary bans are not supported (plain point-to-point queries only).
-// Under a cancelled SetContext context the search stops early and reports
-// no path; callers must re-check the context before trusting a negative.
-func (r *Router) ShortestPathAStar(s, t NodeID, w WeightFunc, h Heuristic) (Path, bool) {
-	r.grow()
-	r.clearBans()
-	if !r.g.validNode(s) || !r.g.validNode(t) {
-		return Path{}, false
-	}
-	if s == t {
-		return Path{Nodes: []NodeID{s}}, true
-	}
-	c := r.csr(w)
-	r.cur++
-	r.h4 = r.h4[:0]
-	r.setDist(s, 0, InvalidEdge)
-	r.h4.push(heapItem{dist: h(s), node: s})
-	disabled := c.disabled
-
-	for len(r.h4) > 0 {
-		if r.interrupted() {
-			return Path{}, false // cancelled mid-search (see SetContext)
-		}
-		it := r.h4.pop()
-		u := it.node
-		if r.stamp[u] != r.cur {
-			continue
-		}
-		gu := r.dist[u]
-		if it.dist > gu+h(u)+1e-12 {
-			continue // stale entry
-		}
-		if u == t {
-			return r.buildPath(s, t), true
-		}
-		for i, end := c.fwdOff[u], c.fwdOff[u+1]; i < end; i++ {
-			e := EdgeID(c.fwdEdge[i])
-			if disabled[e] {
-				continue
-			}
-			v := NodeID(c.fwdTo[i])
-			nd := gu + c.fwdW[i]
-			if r.stamp[v] != r.cur || nd < r.dist[v] {
-				r.setDist(v, nd, e)
-				r.h4.push(heapItem{dist: nd + h(v), node: v})
-			}
-		}
-	}
-	return Path{}, false
-}
-
 // shortestAStar is the Yen spur search: a goal-directed A* on c from s to
 // t guided by a reverse potential, honouring the current node/edge bans
 // and disabled edges. With an exact (hence consistent) potential every

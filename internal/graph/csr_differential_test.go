@@ -74,10 +74,7 @@ func testGraphs(rng *rand.Rand) []struct {
 // both full-sweep tables against the textbook references, on a router with
 // a snapshot attached and on one that freezes per call. Dijkstra, the
 // avoiding Dijkstra, DistancesFrom and ReversePotential must match bit for
-// bit. A* and the bidirectional search must return a valid s->t path
-// whose edge weights, summed in path order, equal the reference length
-// exactly; the bidirectional search adds its two halves' distances, so
-// its reported Length may differ from that sum in the last bits.
+// bit.
 func TestPointQueriesMatchReference(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 80}
 	prop := func(seed int64) bool {
@@ -118,31 +115,6 @@ func TestPointQueriesMatchReference(t *testing.T) {
 				}
 				if p, ok := r.ShortestPathAvoiding(s, tgt, tc.w, avoid); !samePath(p, wantAvoidP, ok, wantAvoidOK) {
 					return fail("ShortestPathAvoiding %v/%v, want %v/%v", p, ok, wantAvoidP, wantAvoidOK)
-				}
-				zero := func(NodeID) float64 { return 0 }
-				potH := func(v NodeID) float64 { return wantPot[v] }
-				for name, q := range map[string]func() (Path, bool){
-					"ShortestPathBidirectional": func() (Path, bool) { return r.ShortestPathBidirectional(s, tgt, tc.w) },
-					"ShortestPathAStar(zero)":   func() (Path, bool) { return r.ShortestPathAStar(s, tgt, tc.w, zero) },
-					"ShortestPathAStar(exact)":  func() (Path, bool) { return r.ShortestPathAStar(s, tgt, tc.w, potH) },
-				} {
-					p, ok := q()
-					if ok != wantOK {
-						return fail("%s reachable=%v, want %v", name, ok, wantOK)
-					}
-					if !ok {
-						continue
-					}
-					if p.Validate(tc.g) != nil || p.Source() != s || p.Target() != tgt {
-						return fail("%s returned an invalid path %v", name, p)
-					}
-					sum := 0.0
-					for _, e := range p.Edges {
-						sum += tc.w(e)
-					}
-					if sum != wantP.Length || math.Abs(p.Length-sum) > 1e-12*sum {
-						return fail("%s length %v (edge sum %v), want %v", name, p.Length, sum, wantP.Length)
-					}
 				}
 				pot := r.ReversePotential(tgt, tc.w)
 				dist := r.DistancesFrom(s, tc.w)

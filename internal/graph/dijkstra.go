@@ -18,23 +18,19 @@ type Router struct {
 	stamp    []uint64
 	cur      uint64
 
-	distB     []float64
-	prevEdgeB []EdgeID
-	stampB    []uint64
-	curB      uint64
+	distB  []float64
+	stampB []uint64
+	curB   uint64
 
 	nodeBan  []uint64
 	edgeBan  []uint64
 	banEpoch uint64
 
-	// The attached snapshot (nil: each query freezes its own, see csr),
-	// the forward and backward search heaps, and the epoch-stamped
-	// settled sets of the bidirectional search.
-	snap     *Snapshot
-	h4       heap4
-	h4B      heap4
-	settledF []uint64
-	settledB []uint64
+	// The attached snapshot (nil: each query freezes its own, see csr)
+	// and the forward and backward search heaps.
+	snap *Snapshot
+	h4   heap4
+	h4B  heap4
 
 	// Yen spur fan-out: worker routers sharing the read-only graph and
 	// the coordinator's snapshot. Bans and scratch arrays are per-router,
@@ -80,9 +76,6 @@ func (r *Router) grow() {
 		ban := make([]uint64, n)
 		copy(ban, r.nodeBan)
 		r.nodeBan = ban
-		settled := make([]uint64, n)
-		copy(settled, r.settledF)
-		r.settledF = settled
 	}
 	m := r.g.NumEdges()
 	if len(r.edgeBan) < m {
@@ -127,16 +120,6 @@ func (r *Router) ShortestPathAvoiding(s, t NodeID, w WeightFunc, avoid []NodeID)
 		}
 	}
 	return r.shortest(r.csr(w), s, t)
-}
-
-// ShortestDist returns the minimum path weight from s to t under w, or
-// +Inf if t is unreachable.
-func (r *Router) ShortestDist(s, t NodeID, w WeightFunc) float64 {
-	p, ok := r.ShortestPath(s, t, w)
-	if !ok {
-		return math.Inf(1)
-	}
-	return p.Length
 }
 
 // shortest runs Dijkstra from s on c with the current bans in effect,

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -63,9 +64,6 @@ func TestShortestPathUnreachable(t *testing.T) {
 	r := NewRouter(g)
 	if _, ok := r.ShortestPath(0, 2, func(EdgeID) float64 { return 1 }); ok {
 		t.Error("found path to unreachable node")
-	}
-	if d := r.ShortestDist(0, 2, func(EdgeID) float64 { return 1 }); !math.IsInf(d, 1) {
-		t.Errorf("ShortestDist = %v, want +Inf", d)
 	}
 }
 
@@ -237,5 +235,61 @@ func TestDijkstraMatchesBellmanFordProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestShortestPathInterleavesWithReversePotential alternates forward
+// point queries and reverse sweeps on one router: the two keep separate
+// scratch arrays and heaps, so neither may disturb the other's answers.
+func TestShortestPathInterleavesWithReversePotential(t *testing.T) {
+	g, w := gridGraph(6, 6)
+	r := NewRouter(g)
+	for i := 0; i < 20; i++ {
+		s := NodeID(i % 36)
+		d := NodeID((i*5 + 7) % 36)
+		got, ok := r.ShortestPath(s, d, w)
+		want, wantOK := NewRouter(g).ShortestPath(s, d, w)
+		if !samePath(got, want, ok, wantOK) {
+			t.Fatalf("iteration %d: ShortestPath %v/%v, want %v/%v", i, got, ok, want, wantOK)
+		}
+		pot := r.ReversePotential(d, w)
+		wantPot := NewRouter(g).ReversePotential(d, w)
+		for v := 0; v < g.NumNodes(); v++ {
+			if pot.At(NodeID(v)) != wantPot.At(NodeID(v)) {
+				t.Fatalf("iteration %d: potential at %d = %v, want %v", i, v, pot.At(NodeID(v)), wantPot.At(NodeID(v)))
+			}
+		}
+		if pot.At(s) != got.Length {
+			t.Fatalf("iteration %d: potential at source %v, path length %v", i, pot.At(s), got.Length)
+		}
+	}
+}
+
+// TestConcurrentRouters verifies the documented concurrency contract: one
+// Router per goroutine over a shared immutable graph is race-free (run
+// with -race).
+func TestConcurrentRouters(t *testing.T) {
+	g, w := gridGraph(10, 10)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for k := 0; k < 8; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			r := NewRouter(g)
+			for i := 0; i < 50; i++ {
+				s := NodeID((i*k + 3) % 100)
+				d := NodeID((i + k*13) % 100)
+				if _, ok := r.ShortestPath(s, d, w); !ok {
+					errs <- "grid query failed"
+					return
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

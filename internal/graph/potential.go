@@ -67,7 +67,7 @@ func (r *Router) reversePotential(c *Snapshot, t NodeID) *Potential {
 	}
 	r.curB++
 	r.h4B = r.h4B[:0]
-	r.setDistB(t, 0, InvalidEdge)
+	r.setDistB(t, 0)
 	r.h4B.push(heapItem{dist: 0, node: t})
 	disabled := c.disabled
 	for len(r.h4B) > 0 {
@@ -88,10 +88,29 @@ func (r *Router) reversePotential(c *Snapshot, t NodeID) *Potential {
 			v := NodeID(c.revFrom[i])
 			nd := it.dist + c.revW[i]
 			if r.stampB[v] != r.curB || nd < r.distB[v] {
-				r.setDistB(v, nd, e)
+				r.setDistB(v, nd)
 				r.h4B.push(heapItem{dist: nd, node: v})
 			}
 		}
 	}
 	return pot
+}
+
+// growBackward sizes the backward scratch arrays, one allocation per array
+// as in grow().
+func (r *Router) growBackward() {
+	n := r.g.NumNodes()
+	if len(r.distB) < n {
+		dist := make([]float64, n)
+		copy(dist, r.distB)
+		r.distB = dist
+		stamp := make([]uint64, n)
+		copy(stamp, r.stampB)
+		r.stampB = stamp
+	}
+}
+
+func (r *Router) setDistB(n NodeID, d float64) {
+	r.distB[n] = d
+	r.stampB[n] = r.curB
 }

@@ -149,13 +149,7 @@ func (r *Router) spurRouter(i int) *Router {
 // p* the attacker forces is the 100th-shortest path, so this routine is the
 // workload generator for every experiment.
 func (r *Router) KShortest(s, t NodeID, k int, w WeightFunc) []Path {
-	if k <= 0 {
-		return nil
-	}
-	r.grow()
-	r.clearBans()
-	c := r.csr(w)
-	return r.kShortest(c, s, t, k, w, r.reversePotential(c, t))
+	return r.KShortestWithPotential(s, t, k, w, nil)
 }
 
 // KShortestWithPotential is KShortest with a caller-supplied reverse
@@ -164,8 +158,8 @@ func (r *Router) KShortest(s, t NodeID, k int, w WeightFunc) []Path {
 // hospital destination and reuses it across every request). pot must come
 // from ReversePotential(t, w) on this graph in a state whose enabled-edge
 // set contained every currently enabled edge — the same contract as
-// BestAlternativeWithPotential. A nil or mismatched-target pot is
-// recomputed, making the call equivalent to KShortest.
+// BestAlternativeWithin's pot. A nil or mismatched-target pot is
+// recomputed by one reverse Dijkstra on the query's snapshot.
 func (r *Router) KShortestWithPotential(s, t NodeID, k int, w WeightFunc, pot *Potential) []Path {
 	if k <= 0 {
 		return nil
@@ -176,13 +170,6 @@ func (r *Router) KShortestWithPotential(s, t NodeID, k int, w WeightFunc, pot *P
 	if pot == nil || pot.Target() != t {
 		pot = r.reversePotential(c, t)
 	}
-	return r.kShortest(c, s, t, k, w, pot)
-}
-
-// kShortest is the shared Yen engine behind KShortest and
-// KShortestWithPotential, searching c. Bans are already cleared and
-// scratch arrays grown; pot is a valid reverse potential for t under w.
-func (r *Router) kShortest(c *Snapshot, s, t NodeID, k int, w WeightFunc, pot *Potential) []Path {
 	first, ok := r.shortestAStar(c, s, t, pot, 0, math.Inf(1))
 	if !ok {
 		return nil
